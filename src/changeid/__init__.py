@@ -2,16 +2,15 @@
 data streams, with mixture statistics over composite post-change
 hypotheses and Monte Carlo verification of the risk bounds."""
 
-from .prior import ChangePointPrior, PriorError, TailExponent, Cp2Diagnostic
+from .prior import ChangePointPrior, PriorError, TailExponent
 from .models import (whiten, ConstantSignal, SineSignal, GaussianMeanShift,
                      ARGaussianSignal, TrialPath, simulate,
-                     info_number_pair, info_number_pair_inf, ModelError)
+                     info_number_pair_inf, ModelError)
 from .engine import (MixingMeasure, StatisticFrame, Detector, EngineError,
-                     posterior_no_change, frame_rows)
+                     posterior_no_change)
 from .rule import (ThresholdMatrix, Verdict, CalibrationError,
                    calibrate, calibrate_star, check_stop, run)
-from .theory import (pfa_bound, pmi_bound, psi_threshold, psi_class,
-                     psi_class_star, bayes_gammas)
+from .theory import pfa_bound, pmi_bound, psi_threshold
 from .montecarlo import (ExperimentPlan, TrialOutcome, RiskReport,
                          MonteCarloError, run_null_batch, run_change_batch,
                          estimate_pfa, estimate_pmi, estimate_delay,

@@ -38,18 +38,15 @@ EXIT_CENSORED = 3
 EXIT_BOUND_FAIL = 4
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "threads", None) is not None:
-        cfg.threads = args.threads
-    if getattr(args, "window", None) is not None:
-        cfg.window = args.window
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    return cfg
+def _load(args):
+    """Config with flag overrides applied, and the objects built from it:
+    (cfg, prior, models, mixing, thresholds)."""
+    cfg = load_config(args.config)
+    for key in ("seed", "trials", "threads", "window", "out"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    return (cfg, build_prior(cfg.prior), build_models(cfg.models),
+            build_mixing(cfg.mixing), build_thresholds(cfg))
 
 
 def _emit(text: str, out_dir: Optional[str], filename: str) -> None:
@@ -96,11 +93,7 @@ def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    prior = build_prior(cfg.prior)
-    models = build_models(cfg.models)
-    mixing = build_mixing(cfg.mixing)
-    thresholds = build_thresholds(cfg)
+    cfg, prior, models, mixing, thresholds = _load(args)
     tables = _theory_tables(cfg, thresholds, models, mixing, prior)
     _emit(json.dumps(jsonable(tables), sort_keys=True, indent=2,
                      allow_nan=False) + "\n",
@@ -143,11 +136,7 @@ def _read_data_csv(path: str, n_streams: int) -> np.ndarray:
 
 
 def cmd_detect(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    prior = build_prior(cfg.prior)
-    models = build_models(cfg.models)
-    mixing = build_mixing(cfg.mixing)
-    thresholds = build_thresholds(cfg)
+    cfg, prior, models, mixing, thresholds = _load(args)
     obs = _read_data_csv(args.data, cfg.n_streams)
     verdict = run(models, prior, mixing, thresholds, obs, window=cfg.window)
     payload = {
@@ -169,7 +158,6 @@ def _plan_dict(cfg: RunConfig) -> dict:
         "trials": cfg.trials, "horizon": cfg.horizon, "seed": cfg.seed,
         "window": cfg.window,
         "theta_points": list(cfg.theta_points),
-        "nu_points": list(cfg.nu_points),
         "change_stream": cfg.change_stream,
         "prior": cfg.prior, "models": cfg.models, "mixing": cfg.mixing,
         "targets": {k: v for k, v in cfg.targets.items()},
@@ -177,16 +165,10 @@ def _plan_dict(cfg: RunConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    prior = build_prior(cfg.prior)
-    models = build_models(cfg.models)
-    mixing = build_mixing(cfg.mixing)
-    thresholds = build_thresholds(cfg)
+    cfg, prior, models, mixing, thresholds = _load(args)
     plan = ExperimentPlan(n_trials=cfg.trials, horizon=cfg.horizon,
                           master_seed=cfg.seed, window=cfg.window,
-                          threads=cfg.threads,
-                          theta_points=tuple(cfg.theta_points),
-                          nu_points=tuple(cfg.nu_points))
+                          threads=cfg.threads)
     report = RiskReport(plan=_plan_dict(cfg))
     report.theory = _theory_tables(cfg, thresholds, models, mixing, prior)
 
@@ -217,7 +199,7 @@ def cmd_simulate(args) -> int:
         "change_trials": change_trials,
         "change_censored": change_censored,
     }
-    report.check_censor_budget(plan.censor_budget)
+    report.check_censor_budget()
 
     bound_fail = False
     bounds = report.theory["pfa_bound_per_stream"]
@@ -248,11 +230,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    prior = build_prior(cfg.prior)
-    models = build_models(cfg.models)
-    mixing = build_mixing(cfg.mixing)
-    thresholds = build_thresholds(cfg)
+    cfg, prior, models, mixing, thresholds = _load(args)
     thetas = cfg.theta_points or list(mixing.grid[[0, -1]])
     report = RiskReport(plan=_plan_dict(cfg))
     report.theory = _theory_tables(cfg, thresholds, models, mixing, prior)
@@ -291,7 +269,9 @@ def cmd_report(args) -> int:
     flags = data.get("flags", [])
     for flag in flags:
         print(f"FLAG: {flag}")
-    return EXIT_BOUND_FAIL if flags else EXIT_OK
+    # the only flag a report carries is the censor budget, which
+    # ``simulate`` also answers with EXIT_CENSORED
+    return EXIT_CENSORED if flags else EXIT_OK
 
 
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:

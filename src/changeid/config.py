@@ -39,7 +39,6 @@ class RunConfig:
     threads: int = 1
     window: Optional[int] = None
     theta_points: List[float] = field(default_factory=list)
-    nu_points: List[int] = field(default_factory=list)
     change_stream: int = 1
     out: Optional[str] = None
 
@@ -49,8 +48,20 @@ class RunConfig:
 
 
 _KNOWN_KEYS = {"prior", "models", "mixing", "targets", "horizon", "trials",
-               "seed", "threads", "window", "theta_points", "nu_points",
-               "change_stream", "out"}
+               "seed", "threads", "window", "theta_points", "change_stream",
+               "out"}
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _numbers(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list of numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def load_config(path: str) -> RunConfig:
@@ -72,21 +83,23 @@ def load_config(path: str) -> RunConfig:
     models = raw["models"]
     if not isinstance(models, list) or not models:
         raise ConfigError("models must be a nonempty list of stream sections")
-    cfg = RunConfig(
-        prior=dict(raw["prior"]),
-        models=[dict(m) for m in models],
-        mixing=dict(raw["mixing"]),
-        targets=dict(raw.get("targets") or {}),
-        horizon=int(raw.get("horizon", 1000)),
-        trials=int(raw.get("trials", 100)),
-        seed=int(raw.get("seed", 0)),
-        threads=int(raw.get("threads", 1)),
-        window=None if raw.get("window") is None else int(raw["window"]),
-        theta_points=[float(t) for t in raw.get("theta_points", [])],
-        nu_points=[int(k) for k in raw.get("nu_points", [])],
-        change_stream=int(raw.get("change_stream", 1)),
-        out=raw.get("out"),
-    )
+    try:
+        cfg = RunConfig(
+            prior=_mapping(raw["prior"], "prior"),
+            models=[_mapping(m, "each models entry") for m in models],
+            mixing=_mapping(raw["mixing"], "mixing"),
+            targets=_mapping(raw.get("targets") or {}, "targets"),
+            horizon=int(raw.get("horizon", 1000)),
+            trials=int(raw.get("trials", 100)),
+            seed=int(raw.get("seed", 0)),
+            threads=int(raw.get("threads", 1)),
+            window=None if raw.get("window") is None else int(raw["window"]),
+            theta_points=_numbers(raw.get("theta_points", []), "theta_points"),
+            change_stream=int(raw.get("change_stream", 1)),
+            out=raw.get("out"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}")
     if cfg.horizon < 1:
         raise ConfigError("horizon must be >= 1")
     if cfg.trials < 1:
@@ -96,8 +109,8 @@ def load_config(path: str) -> RunConfig:
 
 def build_prior(section: dict) -> ChangePointPrior:
     kind = section.get("kind")
-    q = float(section.get("q", 0.0))
     try:
+        q = float(section.get("q", 0.0))
         if kind == "geometric":
             return ChangePointPrior.geometric(float(section["rho"]), q=q)
         if kind == "discrete_weibull":
@@ -107,7 +120,7 @@ def build_prior(section: dict) -> ChangePointPrior:
             return ChangePointPrior.from_pmf(section["probs"], q=q)
     except KeyError as exc:
         raise ConfigError(f"prior section missing key {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid prior: {exc}")
     raise ConfigError(f"unknown prior kind {kind!r}")
 
@@ -115,6 +128,7 @@ def build_prior(section: dict) -> ChangePointPrior:
 def _build_signal(section) -> object:
     if section is None:
         return ConstantSignal()
+    section = _mapping(section, "signal")
     kind = section.get("kind", "constant")
     if kind == "constant":
         return ConstantSignal(amplitude=float(section.get("amplitude", 1.0)))
@@ -140,14 +154,15 @@ def build_models(sections: List[dict]) -> list:
                     theta_min=float(section["theta_min"]),
                     theta_max=float(section["theta_max"]),
                     sigma=float(section.get("sigma", 1.0)),
-                    ar_coeffs=tuple(section.get("ar_coeffs", ())),
+                    ar_coeffs=tuple(_numbers(section.get("ar_coeffs", []),
+                                             "ar_coeffs")),
                     signal=_build_signal(section.get("signal")),
                     stationary_init=bool(section.get("stationary_init", False))))
             else:
                 raise ConfigError(f"stream {idx}: unknown model kind {kind!r}")
         except KeyError as exc:
             raise ConfigError(f"stream {idx}: model section missing key {exc}")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"stream {idx}: invalid model: {exc}")
     return models
 
@@ -172,7 +187,7 @@ def build_mixing(section: dict) -> MixingMeasure:
         raise ConfigError(f"unknown weight scheme {weights!r}")
     except KeyError as exc:
         raise ConfigError(f"mixing section missing key {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mixing grid: {exc}")
 
 

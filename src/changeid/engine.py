@@ -28,7 +28,7 @@ from .models import Model, whiten
 from .prior import ChangePointPrior
 
 __all__ = ["MixingMeasure", "StatisticFrame", "Detector", "EngineError",
-           "posterior_no_change", "frame_rows"]
+           "posterior_no_change"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -71,12 +71,6 @@ class MixingMeasure:
     def log_weights(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.weights)
-
-    @property
-    def max_spacing(self) -> float:
-        if self.grid.size == 1:
-            return 0.0
-        return float(np.max(np.diff(self.grid)))
 
     @classmethod
     def uniform(cls, theta_min: float, theta_max: float, count: int,
@@ -127,7 +121,6 @@ class StatisticFrame:
     log_sup: np.ndarray
     log_survivor: float
     log_ratio: np.ndarray
-    degraded: bool = False
 
 
 def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
@@ -135,18 +128,6 @@ def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
     x = frame.log_ratio[stream - 1, 0]
     # 1 / (1 + e^x) computed as exp(-logaddexp(0, x))
     return float(math.exp(-np.logaddexp(0.0, x)))
-
-
-def frame_rows(frame: StatisticFrame):
-    """Debug dump rows (n, stream, j, logLambdaBar)."""
-    rows = []
-    n_streams = frame.log_ratio.shape[0]
-    for i in range(1, n_streams + 1):
-        for j in range(0, n_streams + 1):
-            if j == i:
-                continue
-            rows.append((frame.n, i, j, float(frame.log_ratio[i - 1, j])))
-    return rows
 
 
 class Detector:
@@ -171,9 +152,9 @@ class Detector:
         self.mixing = list(mixing)
         if len(self.mixing) != self.n_streams:
             raise EngineError("need one mixing measure per stream")
-        self.window = None
-        if window is not None:
-            self.set_window(window)
+        if window is not None and window < 1:
+            raise EngineError(f"window must be >= 1, got {window}")
+        self.window = None if window is None else int(window)
 
         # pad all grids to a common width with zero-weight copies of the
         # last grid point; duplicates change neither mixture nor sup
@@ -194,30 +175,18 @@ class Detector:
         self._lp = self.prior.log_pmf_head_merged(self._cap)
         self._B = np.full((self.n_streams, width), -np.inf)
 
-        # per-stream whitening context for incremental increments
-        self._p = []
-        self._obs_tail = []
-        self._st_whiten = []
-        for model in self.models:
-            coeffs = np.asarray(getattr(model, "ar_coeffs", ()), dtype=float)
-            self._p.append(coeffs)
-            self._obs_tail.append(np.zeros(max(coeffs.size, 1)))
-            self._st_whiten.append(whiten(model.signal_values(self._cap), coeffs))
-        self._invalidate()
-
-    # -- configuration ---------------------------------------------------
-
-    def set_window(self, window: Optional[int]) -> None:
-        """Restrict the candidate change points to the last ``window`` steps."""
-        if window is not None and window < 1:
-            raise EngineError(f"window must be >= 1, got {window}")
-        rebuild = self.window is not None and window is None and self.n > 0
-        self.window = None if window is None else int(window)
-        if rebuild:
-            # incremental accumulator was not maintained in window mode
-            k = np.arange(self.n)
-            terms = self._lp[k, None, None] - self._cumz[k]
-            self._B = _lse(terms, axis=0)
+        # every model is a signal theta*S_t in AR(p) Gaussian noise (the
+        # i.i.d. mean shift is order 0 with S_t = 1); shorter AR filters are
+        # zero-padded to the longest one
+        order = max(len(m.ar_coeffs) for m in self.models)
+        self._ar = np.zeros((self.n_streams, order))
+        for s, m in enumerate(self.models):
+            self._ar[s, :len(m.ar_coeffs)] = m.ar_coeffs
+        # last ``order`` observations, newest first; zero before the first
+        # observation, as in ``whiten``
+        self._tail = np.zeros((self.n_streams, order))
+        self._s2 = np.array([m.sigma ** 2 for m in self.models])
+        self._sw, self._half_v = self._signal_tables(self._cap)
         self._invalidate()
 
     @property
@@ -236,14 +205,24 @@ class Detector:
 
     # -- stepping --------------------------------------------------------
 
+    def _signal_tables(self, horizon: int):
+        """Whitened signal values and v/2 per step, each (horizon, N)."""
+        # filled and scaled in place: these tables are as long as the path
+        sw = np.empty((horizon, self.n_streams))
+        for s, m in enumerate(self.models):
+            sw[:, s] = whiten(m.signal_values(horizon), m.ar_coeffs)
+        half_v = sw * sw
+        half_v /= self._s2
+        half_v *= 0.5
+        return sw, half_v
+
     def _grow(self) -> None:
         new_cap = self._cap * 2
         cumz = np.zeros((new_cap + 1, self.n_streams, self._width))
         cumz[: self._cap + 1] = self._cumz
         self._cumz = cumz
         self._lp = self.prior.log_pmf_head_merged(new_cap)
-        for s, model in enumerate(self.models):
-            self._st_whiten[s] = whiten(model.signal_values(new_cap), self._p[s])
+        self._sw, self._half_v = self._signal_tables(new_cap)
         self._cap = new_cap
 
     def advance(self, x) -> None:
@@ -251,29 +230,17 @@ class Detector:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_streams,):
             raise EngineError(f"expected observation vector of length {self.n_streams}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise EngineError(f"non-finite observation at step {self.n + 1}: {x}")
         if self.n + 1 > self._cap:
             self._grow()
         n = self.n
-        u = np.empty(self.n_streams)
-        v = np.empty(self.n_streams)
-        for s, model in enumerate(self.models):
-            s2 = model.sigma ** 2
-            coeffs = self._p[s]
-            if coeffs.size:
-                tail = self._obs_tail[s]
-                pn = min(n, coeffs.size)
-                xt = x[s] - float(coeffs[:pn] @ tail[:pn])
-                st = self._st_whiten[s][n]
-                u[s] = st * xt / s2
-                v[s] = st * st / s2
-                tail[1:] = tail[:-1]
-                tail[0] = x[s]
-            else:
-                u[s] = x[s] / s2
-                v[s] = 1.0 / s2
-        inc = u[:, None] * self._grid - (0.5 * v)[:, None] * self._grid_sq
+        # the coefficients of ``llr_coefficients``, one step for all streams
+        xt = x - (self._ar * self._tail).sum(axis=1)
+        u = self._sw[n] * xt / self._s2
+        self._tail[:, 1:] = self._tail[:, :-1]
+        self._tail[:, :1] = x[:, None]
+        inc = u[:, None] * self._grid - self._half_v[n][:, None] * self._grid_sq
         self._cumz[n + 1] = self._cumz[n] + inc
         if self.window is None:
             np.logaddexp(self._B, self._lp[n] - self._cumz[n], out=self._B)
@@ -331,11 +298,6 @@ class Detector:
     def log_survivor(self) -> float:
         return float(self.prior.log_survivor(self.n))
 
-    @property
-    def degraded(self) -> bool:
-        s = self._window_start
-        return bool(np.all(np.isneginf(self._lp[s:self.n])))
-
     def frame(self) -> StatisticFrame:
         if self.n < 1:
             raise EngineError("no observations consumed yet")
@@ -349,8 +311,4 @@ class Detector:
             ratio[:, j] = mix - sup[j - 1]
             ratio[j - 1, j] = np.nan
         return StatisticFrame(n=self.n, log_mix=mix.copy(), log_sup=sup.copy(),
-                              log_survivor=lsv, log_ratio=ratio,
-                              degraded=self.degraded)
-
-    def posterior_no_change(self, stream: int) -> float:
-        return posterior_no_change(self.frame(), stream)
+                              log_survivor=lsv, log_ratio=ratio)

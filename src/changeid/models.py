@@ -8,9 +8,10 @@ Two concrete models are shipped:
   appearing in stable AR(p) Gaussian noise.  Whitening by the AR
   coefficients reduces the LLR to a weighted Gaussian form.
 
-Both post-change families are additive in theta, so the per-step LLR
-increment is linear-quadratic in theta: inc = theta*u_t - theta^2*v_t/2
-with per-step coefficients u_t, v_t depending only on the observations.
+Both are a signal theta*S_t in AR(p) Gaussian noise -- the mean shift is
+order 0 with S_t = 1 -- so the per-step LLR increment is linear-quadratic
+in theta: inc = theta*u_t - theta^2*v_t/2 with per-step coefficients
+u_t, v_t depending only on the observations.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from scipy.signal import lfilter
 __all__ = [
     "whiten", "ConstantSignal", "SineSignal",
     "GaussianMeanShift", "ARGaussianSignal", "TrialPath",
-    "simulate", "info_number_pair", "ModelError",
+    "simulate", "info_number_pair_inf", "ModelError",
 ]
 
 
@@ -69,7 +70,12 @@ Signal = Union[ConstantSignal, SineSignal]
 
 
 class _GaussianBase:
-    """Shared LLR plumbing for the additive Gaussian models."""
+    """Shared LLR plumbing for the additive Gaussian models.
+
+    A model provides ``sigma``, ``ar_coeffs`` and ``signal_values``; the
+    increment form below is the only one, and the engine reads the same
+    three attributes to compute it one step at a time.
+    """
 
     def _check_theta(self, theta: float) -> None:
         if not (self.theta_min <= theta <= self.theta_max):
@@ -79,7 +85,10 @@ class _GaussianBase:
 
     def llr_coefficients(self, observations: np.ndarray):
         """Per-step coefficients (u, v) with increment theta*u - theta^2*v/2."""
-        raise NotImplementedError
+        s2 = self.sigma ** 2
+        st = whiten(self.signal_values(observations.size), self.ar_coeffs)
+        xt = whiten(observations, self.ar_coeffs)
+        return st * xt / s2, st ** 2 / s2
 
     def llr_increments(self, observations, thetas) -> np.ndarray:
         """Matrix of increments log L_{theta}(t), shape (T, len(thetas))."""
@@ -89,15 +98,6 @@ class _GaussianBase:
         u, v = self.llr_coefficients(np.asarray(observations, dtype=float))
         return np.outer(u, thetas) - 0.5 * np.outer(v, thetas ** 2)
 
-    def llr_increment(self, theta: float, t: int, history) -> float:
-        """Single increment at time t (1-based) given the stream history."""
-        history = np.asarray(history, dtype=float)
-        if t < 1 or history.size < t:
-            raise ModelError(f"need history of length >= t={t}")
-        self._check_theta(theta)
-        u, v = self.llr_coefficients(history[:t])
-        return float(theta * u[t - 1] - 0.5 * theta ** 2 * v[t - 1])
-
 
 @dataclass(frozen=True)
 class GaussianMeanShift(_GaussianBase):
@@ -106,16 +106,13 @@ class GaussianMeanShift(_GaussianBase):
     theta_min: float
     theta_max: float
     sigma: float = 1.0
+    ar_coeffs = ()          # i.i.d. noise: AR order 0, not a field
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ModelError(f"sigma must be positive, got {self.sigma}")
         if not (0 < self.theta_min <= self.theta_max):
             raise ModelError("need 0 < theta_min <= theta_max")
-
-    def llr_coefficients(self, observations):
-        s2 = self.sigma ** 2
-        return observations / s2, np.full(observations.shape, 1.0 / s2)
 
     def signal_values(self, horizon: int) -> np.ndarray:
         return np.ones(horizon)
@@ -125,11 +122,6 @@ class GaussianMeanShift(_GaussianBase):
 
     def info_number(self, theta: float) -> float:
         """Kullback-Leibler rate theta^2 / (2 sigma^2)."""
-        self._check_theta(theta)
-        return theta ** 2 / (2.0 * self.sigma ** 2)
-
-    def null_info_number(self, theta: float) -> float:
-        """KL rate of pre-change law vs the theta post-change law."""
         self._check_theta(theta)
         return theta ** 2 / (2.0 * self.sigma ** 2)
 
@@ -156,12 +148,6 @@ class ARGaussianSignal(_GaussianBase):
     def signal_values(self, horizon: int) -> np.ndarray:
         return self.signal.values(horizon)
 
-    def llr_coefficients(self, observations):
-        s2 = self.sigma ** 2
-        st = whiten(self.signal_values(observations.size), self.ar_coeffs)
-        xt = whiten(observations, self.ar_coeffs)
-        return st * xt / s2, st ** 2 / s2
-
     def sample_noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         burn = 1000 if self.stationary_init else 0
         w = self.sigma * rng.standard_normal(horizon + burn)
@@ -182,37 +168,28 @@ class ARGaussianSignal(_GaussianBase):
         self._check_theta(theta)
         return theta ** 2 * self.whitened_energy() / (2.0 * self.sigma ** 2)
 
-    def null_info_number(self, theta: float) -> float:
-        self._check_theta(theta)
-        return theta ** 2 * self.whitened_energy() / (2.0 * self.sigma ** 2)
-
 
 Model = Union[GaussianMeanShift, ARGaussianSignal]
 
 
-def info_number_pair(model_i: Model, theta_i: float, model_j: Model, theta_j: float,
-                     same_stream: bool = False) -> float:
-    """Pairwise drift rate I_ij = I_i(theta_i) + I_0j(theta_j), i != j."""
-    if same_stream:
-        raise ModelError("pairwise information number requires distinct streams")
-    return model_i.info_number(theta_i) + model_j.null_info_number(theta_j)
-
-
 def info_number_pair_inf(model_i: Model, theta_i: float, model_j: Model,
                          grid_j: Optional[np.ndarray] = None):
-    """Infimum of I_ij over the competitor's parameter space.
+    """Infimum of I_ij = I_i(theta_i) + I_0j(theta_j) over the competitor's
+    parameter space.
 
-    Returns (on_grid, analytic).  For the shipped models I_0j is increasing
-    in |theta_j|, so the infimum over [theta_min, theta_max] sits at
+    Returns (on_grid, analytic).  For the shipped Gaussian families the
+    pre-change drift rate I_0j(theta) equals the post-change rate
+    I_j(theta), so ``info_number`` serves both.  It is increasing in
+    |theta_j|, so the infimum over [theta_min, theta_max] sits at
     theta_min; the grid value is reported alongside because the detector's
     denominator optimizes on the grid.
     """
     analytic = (model_i.info_number(theta_i)
-                + model_j.null_info_number(model_j.theta_min))
+                + model_j.info_number(model_j.theta_min))
     if grid_j is None:
         return analytic, analytic
     on_grid = (model_i.info_number(theta_i)
-               + min(model_j.null_info_number(t) for t in np.asarray(grid_j)))
+               + min(model_j.info_number(t) for t in np.asarray(grid_j)))
     return on_grid, analytic
 
 

@@ -56,10 +56,6 @@ class ExperimentPlan:
     master_seed: int
     window: Optional[int] = None
     threads: int = 1
-    theta_points: tuple = ()
-    nu_points: tuple = ()          # fixed change points for conditional risks
-    moments: tuple = (1,)
-    censor_budget: float = 0.01    # change-present censor frequency allowed
 
     def __post_init__(self):
         if self.n_trials < 1:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["ChangePointPrior", "PriorError", "TailExponent", "Cp2Diagnostic"]
+__all__ = ["ChangePointPrior", "PriorError", "TailExponent"]
 
 _NORM_TOL = 1e-12
 
@@ -32,22 +32,6 @@ class TailExponent:
 
     mu: float
     estimated: bool = False
-
-
-@dataclass(frozen=True)
-class Cp2Diagnostic:
-    """Truncated value of sum_k pi_k |log pi_k|**r with a convergence flag.
-
-    ``finite`` is certified analytically for the closed-form families; for
-    explicit tables it comes from a tail-ratio test on the summands, so a
-    slowly decaying table is flagged as not certified even if the partial
-    sum looks tame.
-    """
-
-    finite: bool
-    partial_sum: float
-    r: float
-    horizon: int
 
 
 class ChangePointPrior:
@@ -118,12 +102,6 @@ class ChangePointPrior:
     @property
     def head_mass(self) -> float:
         return self.q
-
-    @property
-    def truncation_horizon(self) -> Optional[int]:
-        if self.kind == self.EXPLICIT:
-            return self._probs.size - 1
-        return None
 
     def _weibull_log_survivor(self, n) -> np.ndarray:
         # S(n) = exp(-(n / scale)**kappa), S(0) = 1
@@ -241,32 +219,3 @@ class ChangePointPrior:
             return TailExponent(mu=0.0, estimated=True)
         slope = np.polyfit(n[ok], -ls[ok], 1)[0]
         return TailExponent(mu=max(slope, 0.0), estimated=True)
-
-    def check_cp2(self, r: float, horizon: int = 100_000) -> Cp2Diagnostic:
-        """Partial sum of pi_k |log pi_k|**r with a convergence flag."""
-        if r < 1:
-            raise PriorError(f"moment order r must be >= 1, got {r}")
-        if self.kind == self.EXPLICIT:
-            horizon = self._probs.size - 1
-        k = np.arange(0, horizon + 1)
-        lp = self.log_pmf(k)
-        with np.errstate(invalid="ignore"):
-            terms = np.exp(lp) * np.abs(lp) ** r
-        terms = np.where(np.isfinite(lp), terms, 0.0)
-        partial = float(math.fsum(terms.tolist()))
-        if self.kind in (self.GEOMETRIC, self.DISCRETE_WEIBULL):
-            # exponential / Weibull-type tails dominate any power of log pi_k
-            return Cp2Diagnostic(finite=True, partial_sum=partial, r=r, horizon=horizon)
-        # tail-ratio test over the last decade of nonzero summands
-        nz = np.nonzero(terms > 0)[0]
-        if nz.size < 10:
-            return Cp2Diagnostic(finite=True, partial_sum=partial, r=r, horizon=horizon)
-        last = nz[-1]
-        first = max(nz[0], int(last * 0.9))
-        if last <= first or terms[first] <= 0:
-            return Cp2Diagnostic(finite=True, partial_sum=partial, r=r, horizon=horizon)
-        # geometric-mean term ratio over the window; ratios approaching 1
-        # mean the test cannot certify convergence within the horizon
-        gm_ratio = (terms[last] / terms[first]) ** (1.0 / (last - first))
-        finite = bool(gm_ratio <= 1.0 - 10.0 / horizon)
-        return Cp2Diagnostic(finite=finite, partial_sum=partial, r=r, horizon=horizon)

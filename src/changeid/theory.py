@@ -8,15 +8,13 @@ as the on-grid minimum or the analytic limit.
 """
 from __future__ import annotations
 
-import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .rule import ThresholdMatrix
 
-__all__ = ["pfa_bound", "pmi_bound", "psi_threshold", "psi_class",
-           "psi_class_star", "bayes_gammas"]
+__all__ = ["pfa_bound", "pmi_bound", "psi_threshold"]
 
 
 def pfa_bound(thresholds: ThresholdMatrix):
@@ -60,50 +58,3 @@ def psi_threshold(thresholds: ThresholdMatrix, stream: int, info: float,
     comps = [(thresholds.log_a[i, j], pair_inf[j])
              for j in range(1, thresholds.n_streams + 1) if j != stream]
     return _max_ratio(thresholds.log_a[i, 0], info + mu, comps)
-
-
-def psi_class(alpha, beta, stream: int, info: float,
-              pair_inf: Mapping[int, float], mu: float) -> float:
-    """Lower-bound delay scale for the class with per-stream targets:
-
-        max( |log alpha_i| / (I_i + mu),  max_j |log beta_ji| / inf_j I_ij )
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.asarray(beta, dtype=float)
-    i = stream - 1
-    comps = [(abs(math.log(beta[j - 1, i])), pair_inf[j])
-             for j in pair_inf if j != stream]
-    return _max_ratio(abs(math.log(alpha[i])), info + mu, comps)
-
-
-def psi_class_star(alpha: float, beta_bar, stream: int, info: float,
-                   pair_inf: Mapping[int, float], mu: float) -> float:
-    """Delay scale for the class with a total PFA target and per-stream
-    misidentification targets."""
-    beta_bar = np.atleast_1d(np.asarray(beta_bar, dtype=float))
-    comps = [(abs(math.log(beta_bar[j - 1])), pair_inf[j])
-             for j in pair_inf if j != stream]
-    return _max_ratio(abs(math.log(alpha)), info + mu, comps)
-
-
-def bayes_gammas(p: Sequence[float], mixings, info_fns, pair_inf_fns, mu: float):
-    """Fully Bayesian delay coefficients.
-
-    gamma_0 = sum_i p_i sum_g w_g / (I_i(theta_g) + mu)
-    gamma_1 = sum_i p_i sum_g w_g / min_j inf_{theta_j} I_ij(theta_g, theta_j)
-
-    ``info_fns[i](theta)`` returns I_i(theta); ``pair_inf_fns[i](theta)``
-    returns min over competitors j of inf_{theta_j} I_ij(theta, theta_j).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValueError("p must be a probability vector over streams")
-    g0 = 0.0
-    g1 = 0.0
-    for i, (pi, mix) in enumerate(zip(p, mixings)):
-        if pi == 0.0:
-            continue
-        for theta, w in zip(mix.grid, mix.weights):
-            g0 += pi * w / (info_fns[i](theta) + mu)
-            g1 += pi * w / pair_inf_fns[i](theta)
-    return g0, g1

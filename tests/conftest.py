@@ -11,19 +11,25 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 
-def oracle_llr_table(x, grid, sigma=1.0):
+def oracle_llr_table(x, grid, sigma=1.0, signal=None):
     """log LR_theta(k, n) for one stream: shape (n, len(grid)) rows k=0..n-1,
-    entry [k, g] = sum_{t=k+1..n} [log phi_theta(x_t) - log phi_0(x_t)]."""
+    entry [k, g] = sum_{t=k+1..n} [log phi_{theta S_t}(x_t) - log phi_0(x_t)]
+    with signal values S_t (all ones when ``signal`` is None)."""
     n = x.size
-    inc = (norm.logpdf(x[:, None], loc=np.asarray(grid)[None, :], scale=sigma)
+    s = np.ones(n) if signal is None else np.asarray(signal, dtype=float)[:n]
+    loc = s[:, None] * np.asarray(grid)[None, :]
+    inc = (norm.logpdf(x[:, None], loc=loc, scale=sigma)
            - norm.logpdf(x[:, None], loc=0.0, scale=sigma))
     csum = np.vstack([np.zeros(len(grid)), np.cumsum(inc, axis=0)])
     # log LR(k, n) = csum[n] - csum[k]
     return csum[n] - csum[:n]
 
 
-def oracle_frame(obs, prior, grids, weights, n, sigma=1.0, window=None):
-    """Exact statistics at time n for i.i.d. Gaussian streams.
+def oracle_frame(obs, prior, grids, weights, n, sigma=1.0, window=None,
+                 signals=None):
+    """Exact statistics at time n for i.i.d. Gaussian streams, each with
+    post-change mean theta*S_t (``signals[s]`` holds stream s's S_t values;
+    None means S_t = 1 on every stream).
 
     Returns (log_mix, log_sup, log_survivor, log_ratio) with the same
     layout as the engine's frame.
@@ -35,7 +41,8 @@ def oracle_frame(obs, prior, grids, weights, n, sigma=1.0, window=None):
     log_mix = np.empty(n_streams)
     log_sup = np.empty(n_streams)
     for s in range(n_streams):
-        table = oracle_llr_table(obs[s, :n], grids[s], sigma=sigma)[lo:]
+        table = oracle_llr_table(obs[s, :n], grids[s], sigma=sigma,
+                                 signal=None if signals is None else signals[s])[lo:]
         lw = np.log(np.asarray(weights[s]))
         log_mix[s] = logsumexp(lp[lo:, None] + lw[None, :] + table)
         log_sup[s] = logsumexp(lp[lo:] + table.max(axis=1))

@@ -75,6 +75,20 @@ class TestCalibrate:
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"prior": 5},
+        {"models": [1]},
+        {"mixing": [1, 2]},
+        {"theta_points": 1.0},
+        {"models": [{"kind": "ar_gaussian", "theta_min": 0.25,
+                     "theta_max": 2.0, "ar_coeffs": 0.5}]},
+        {"nu_points": [5]},
+    ], ids=["prior", "models", "mixing", "theta_points", "ar_coeffs",
+            "nu_points"])
+    def test_malformed_config_exit_2(self, config_path, capsys, overrides):
+        assert main(["calibrate", "--config", config_path(overrides)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDetect:
     def _fixture_path(self, tmp_path, theta=2.0, nu=50, horizon=200, seed=4,
@@ -188,3 +202,12 @@ class TestReport:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 2
+
+    def test_flagged_report_exit_3(self, tmp_path, capsys):
+        # the same code ``simulate`` returns for an exceeded censor budget
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"flags": [
+            "censor budget exceeded: 9/40 change-present trials censored "
+            "(budget 0.01)"]}))
+        assert main(["report", str(path)]) == 3
+        assert "FLAG: censor budget exceeded" in capsys.readouterr().out

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from changeid import (ARGaussianSignal, ConstantSignal, GaussianMeanShift,
-                      ModelError, SineSignal, info_number_pair,
-                      info_number_pair_inf, simulate, whiten)
+from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
+                      Detector, GaussianMeanShift, MixingMeasure, ModelError,
+                      SineSignal, info_number_pair_inf, simulate, whiten)
 
 
 class TestWhiten:
@@ -93,21 +93,26 @@ class TestARGaussianSignal:
         assert r1 == pytest.approx(0.5, abs=0.02)
 
     def test_llr_increment_scalar_matches_batch(self, rng):
-        m = self._model()
-        x = rng.standard_normal(10)
-        batch = m.llr_increments(x, [1.0])[:, 0]
-        for t in range(1, 11):
-            assert m.llr_increment(1.0, t, x) == pytest.approx(batch[t - 1])
+        # the detector computes increments one step at a time; with a
+        # one-point grid and window 1, log_mix(n) = log pi_{n-1} + inc_n.
+        # An AR(2) stream next to an order-0 one checks the zero padding.
+        models = [self._model(ar_coeffs=(0.4, 0.1), sigma=1.3,
+                              signal=SineSignal(omega=0.7)),
+                  GaussianMeanShift(0.25, 2.0, sigma=0.8)]
+        x = rng.standard_normal((2, 10))
+        batch = np.stack([m.llr_increments(x[s], [1.0])[:, 0]
+                          for s, m in enumerate(models)], axis=1)
+        prior = ChangePointPrior.geometric(0.1)
+        one_point = MixingMeasure(grid=np.array([1.0]), weights=np.array([1.0]))
+        det = Detector(prior, models, one_point, window=1)
+        lp = prior.log_pmf_head_merged(10)
+        for t in range(10):
+            det.advance(x[:, t])
+            np.testing.assert_allclose(det.log_mix_values - lp[t], batch[t],
+                                       rtol=0, atol=1e-9)
 
 
 class TestPairInformation:
-    def test_pair_is_sum_of_rates(self):
-        a = GaussianMeanShift(0.25, 2.0)
-        b = GaussianMeanShift(0.25, 2.0, sigma=2.0)
-        assert info_number_pair(a, 1.0, b, 1.0) == pytest.approx(0.5 + 0.125)
-        with pytest.raises(ModelError):
-            info_number_pair(a, 1.0, a, 1.0, same_stream=True)
-
     def test_inf_over_competitor(self):
         a = GaussianMeanShift(0.25, 2.0)
         b = GaussianMeanShift(0.25, 2.0)

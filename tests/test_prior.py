@@ -103,28 +103,6 @@ class TestHeadMergedLogPmf:
         assert math.fsum(np.exp(lp)) + prior.survivor(h) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCp2Diagnostic:
-    def test_geometric_certified(self):
-        diag = ChangePointPrior.geometric(0.05).check_cp2(2, horizon=5000)
-        assert diag.finite
-        assert diag.partial_sum > 0
-
-    def test_slow_log_squared_table_not_certified(self):
-        k = np.arange(2, 200_001)
-        probs = 1.0 / (k ** 2 * np.log(k) ** 2)
-        diag = ChangePointPrior.from_pmf(probs).check_cp2(2)
-        assert not diag.finite
-
-    def test_geometric_copy_table_certified(self):
-        probs = 0.1 * 0.9 ** np.arange(2000)
-        diag = ChangePointPrior.from_pmf(probs).check_cp2(2)
-        assert diag.finite
-
-    def test_r_below_one_rejected(self):
-        with pytest.raises(PriorError):
-            ChangePointPrior.geometric(0.1).check_cp2(0.5)
-
-
 @settings(max_examples=50, deadline=None)
 @given(rho=st.floats(0.01, 0.95), q=st.floats(0.0, 0.9),
        n=st.integers(0, 200))

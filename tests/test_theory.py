@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from changeid import (MixingMeasure, ThresholdMatrix, bayes_gammas, calibrate,
-                      pfa_bound, pmi_bound, psi_class, psi_class_star,
+from changeid import (ThresholdMatrix, calibrate, pfa_bound, pmi_bound,
                       psi_threshold)
 
 
@@ -47,46 +46,3 @@ class TestPsi:
         th = matrix(math.e ** 10, math.e ** 2, math.e ** 2)
         got = psi_threshold(th, 1, info=0.5, pair_inf={2: 5.0}, mu=0.0)
         assert got == pytest.approx(20.0)
-
-    def test_class_form(self):
-        beta = np.array([[np.nan, 0.01], [0.02, np.nan]])
-        got = psi_class([0.05, 0.05], beta, 1, info=0.5,
-                        pair_inf={2: 1.0}, mu=0.1)
-        # max(|log 0.05|/0.6, |log beta_21|/1.0), beta_21 = beta[1, 0]
-        assert got == pytest.approx(max(-math.log(0.05) / 0.6,
-                                        -math.log(0.02)))
-
-    def test_class_star_form(self):
-        got = psi_class_star(0.05, [0.1, 0.1], 1, info=0.5,
-                             pair_inf={2: 0.5}, mu=0.0)
-        assert got == pytest.approx(max(-math.log(0.05) / 0.5,
-                                        -math.log(0.1) / 0.5))
-
-
-class TestBayesGammas:
-    def test_single_point_degenerate(self):
-        mix = MixingMeasure(grid=np.array([1.0]), weights=np.array([1.0]))
-        g0, g1 = bayes_gammas([1.0], [mix],
-                              info_fns=[lambda th: 0.5],
-                              pair_inf_fns=[lambda th: 0.25], mu=0.1)
-        assert g0 == pytest.approx(1.0 / 0.6)
-        assert g1 == pytest.approx(4.0)
-
-    def test_two_streams_weighted(self):
-        mix = MixingMeasure(grid=np.array([1.0, 2.0]),
-                            weights=np.array([0.5, 0.5]))
-        info = lambda th: th ** 2 / 2
-        pinf = lambda th: th ** 2 / 2
-        g0, g1 = bayes_gammas([0.5, 0.5], [mix, mix],
-                              info_fns=[info, info],
-                              pair_inf_fns=[pinf, pinf], mu=0.0)
-        expected = 0.5 / 0.5 + 0.5 / 2.0
-        assert g0 == pytest.approx(expected)
-        assert g1 == pytest.approx(expected)
-
-    def test_invalid_probability_vector(self):
-        mix = MixingMeasure(grid=np.array([1.0]), weights=np.array([1.0]))
-        with pytest.raises(ValueError):
-            bayes_gammas([0.7, 0.7], [mix, mix],
-                         info_fns=[lambda th: 1.0] * 2,
-                         pair_inf_fns=[lambda th: 1.0] * 2, mu=0.0)
