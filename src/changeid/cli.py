@@ -144,7 +144,7 @@ def cmd_detect(args) -> int:
         "time": verdict.time,
         "stream": verdict.stream,
         "met_streams": list(verdict.met_streams),
-        "horizon": int(obs.shape[1]) if verdict.censored else None,
+        "horizon": verdict.horizon,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg.out,
           "verdict.json")

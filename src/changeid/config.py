@@ -12,8 +12,7 @@ from typing import List, Optional
 import yaml
 
 from .engine import MixingMeasure
-from .models import (ARGaussianSignal, ConstantSignal, GaussianMeanShift,
-                     SineSignal)
+from .models import ARGaussianSignal, ConstantSignal, SineSignal
 from .prior import ChangePointPrior
 from .rule import ThresholdMatrix, calibrate, calibrate_star
 
@@ -56,6 +55,37 @@ def _mapping(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"{what} must be a mapping, got {value!r}")
     return dict(value)
+
+
+# keys each section's builder reads, per kind; ``kind`` itself is implied
+_PRIOR_KEYS = {"geometric": {"rho", "q"},
+               "discrete_weibull": {"kappa", "scale", "q"},
+               "explicit_pmf": {"probs", "q"}}
+_MEAN_SHIFT_KEYS = {"theta_min", "theta_max", "sigma"}
+_MODEL_KEYS = {"gaussian": _MEAN_SHIFT_KEYS,
+               "ar_gaussian": _MEAN_SHIFT_KEYS | {"ar_coeffs", "signal",
+                                                  "stationary_init"}}
+_SIGNAL_KEYS = {"constant": {"amplitude"},
+                "sine": {"omega", "phase", "amplitude"}}
+_GRID_KEYS = {"min", "max", "count", "single_point", "spacing", "weights"}
+_MIXING_KEYS = {"uniform": _GRID_KEYS, "gaussian": _GRID_KEYS | {"v"}}
+
+
+def _check_keys(section: dict, allowed, what: str) -> None:
+    """Reject every key of ``section`` that its builder does not read."""
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {sorted(map(str, unknown))}")
+
+
+def _kind(section: dict, table: dict, default, what: str) -> str:
+    """The section's ``kind`` after checking it and the section's keys
+    against ``table``."""
+    kind = section.get("kind", default)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    _check_keys(section, table[kind] | {"kind"}, f"{kind} {what}")
+    return kind
 
 
 def _numbers(value, what: str) -> list:
@@ -108,7 +138,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_prior(section: dict) -> ChangePointPrior:
-    kind = section.get("kind")
+    kind = _kind(section, _PRIOR_KEYS, None, "prior")
     try:
         q = float(section.get("q", 0.0))
         if kind == "geometric":
@@ -116,50 +146,42 @@ def build_prior(section: dict) -> ChangePointPrior:
         if kind == "discrete_weibull":
             return ChangePointPrior.discrete_weibull(
                 float(section["kappa"]), float(section["scale"]), q=q)
-        if kind == "explicit_pmf":
-            return ChangePointPrior.from_pmf(section["probs"], q=q)
+        return ChangePointPrior.from_pmf(section["probs"], q=q)
     except KeyError as exc:
         raise ConfigError(f"prior section missing key {exc}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid prior: {exc}")
-    raise ConfigError(f"unknown prior kind {kind!r}")
 
 
 def _build_signal(section) -> object:
     if section is None:
         return ConstantSignal()
     section = _mapping(section, "signal")
-    kind = section.get("kind", "constant")
+    kind = _kind(section, _SIGNAL_KEYS, "constant", "signal")
     if kind == "constant":
         return ConstantSignal(amplitude=float(section.get("amplitude", 1.0)))
-    if kind == "sine":
-        return SineSignal(omega=float(section["omega"]),
-                          phase=float(section.get("phase", 0.0)),
-                          amplitude=float(section.get("amplitude", 1.0)))
-    raise ConfigError(f"unknown signal kind {kind!r}")
+    return SineSignal(omega=float(section["omega"]),
+                      phase=float(section.get("phase", 0.0)),
+                      amplitude=float(section.get("amplitude", 1.0)))
 
 
 def build_models(sections: List[dict]) -> list:
+    """One ``ARGaussianSignal`` per stream; ``kind: gaussian`` is its AR
+    order 0, unit-signal case and accepts none of the AR keys."""
     models = []
     for idx, section in enumerate(sections, start=1):
-        kind = section.get("kind", "gaussian")
         try:
-            if kind == "gaussian":
-                models.append(GaussianMeanShift(
-                    theta_min=float(section["theta_min"]),
-                    theta_max=float(section["theta_max"]),
-                    sigma=float(section.get("sigma", 1.0))))
-            elif kind == "ar_gaussian":
-                models.append(ARGaussianSignal(
-                    theta_min=float(section["theta_min"]),
-                    theta_max=float(section["theta_max"]),
-                    sigma=float(section.get("sigma", 1.0)),
-                    ar_coeffs=tuple(_numbers(section.get("ar_coeffs", []),
-                                             "ar_coeffs")),
-                    signal=_build_signal(section.get("signal")),
-                    stationary_init=bool(section.get("stationary_init", False))))
-            else:
-                raise ConfigError(f"stream {idx}: unknown model kind {kind!r}")
+            _kind(section, _MODEL_KEYS, "gaussian", "model")
+            models.append(ARGaussianSignal(
+                theta_min=float(section["theta_min"]),
+                theta_max=float(section["theta_max"]),
+                sigma=float(section.get("sigma", 1.0)),
+                ar_coeffs=tuple(_numbers(section.get("ar_coeffs", []),
+                                         "ar_coeffs")),
+                signal=_build_signal(section.get("signal")),
+                stationary_init=bool(section.get("stationary_init", False))))
+        except ConfigError as exc:
+            raise ConfigError(f"stream {idx}: {exc}")
         except KeyError as exc:
             raise ConfigError(f"stream {idx}: model section missing key {exc}")
         except (TypeError, ValueError) as exc:
@@ -168,27 +190,33 @@ def build_models(sections: List[dict]) -> list:
 
 
 def build_mixing(section: dict) -> MixingMeasure:
+    weights = section.get("weights", "uniform")
+    if not isinstance(weights, str) or weights not in _MIXING_KEYS:
+        raise ConfigError(f"unknown weight scheme {weights!r}")
+    _check_keys(section, _MIXING_KEYS[weights], "mixing")
     try:
         count = int(section["count"])
         if count < 2 and not section.get("single_point", False):
             raise ConfigError(
                 "grid count must be >= 2 (set single_point: true to override)")
         spacing = section.get("spacing", "linear")
-        weights = section.get("weights", "uniform")
         if weights == "uniform":
             return MixingMeasure.uniform(float(section["min"]),
                                          float(section["max"]), count,
                                          spacing=spacing)
-        if weights == "gaussian":
-            return MixingMeasure.gaussian(float(section["min"]),
-                                          float(section["max"]), count,
-                                          v=float(section.get("v", 1.0)),
-                                          spacing=spacing)
-        raise ConfigError(f"unknown weight scheme {weights!r}")
+        return MixingMeasure.gaussian(float(section["min"]),
+                                      float(section["max"]), count,
+                                      v=float(section.get("v", 1.0)),
+                                      spacing=spacing)
     except KeyError as exc:
         raise ConfigError(f"mixing section missing key {exc}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mixing grid: {exc}")
+
+
+# keys each form of the targets section reads
+_TARGET_FORMS = (("log_a", {"log_a"}), ("beta_bar", {"alpha", "beta_bar"}),
+                 ("beta", {"alpha", "beta"}))
 
 
 def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
@@ -201,17 +229,25 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
     t = cfg.targets
     n = cfg.n_streams
     head = build_prior(cfg.prior).head_mass
+    for form, keys in _TARGET_FORMS:
+        if form in t:
+            _check_keys(t, keys, f"targets with {form}")
+            break
+    else:
+        raise ConfigError("targets must provide beta, beta_bar, or log_a")
     try:
-        if "log_a" in t:
-            return ThresholdMatrix(log_a=t["log_a"])
-        if "beta_bar" in t:
-            return calibrate_star(float(t["alpha"]), t["beta_bar"], n,
-                                  head_mass=head)
-        if "beta" in t:
-            return calibrate(t["alpha"], t["beta"], n_streams=n,
-                             head_mass=head)
+        if form == "log_a":
+            thresholds = ThresholdMatrix(log_a=t["log_a"])
+        elif form == "beta_bar":
+            thresholds = calibrate_star(float(t["alpha"]), t["beta_bar"], n,
+                                        head_mass=head)
+        else:
+            thresholds = calibrate(t["alpha"], t["beta"], n_streams=n,
+                                   head_mass=head)
     except KeyError as exc:
         raise ConfigError(f"targets section missing key {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid risk targets: {exc}")
-    raise ConfigError("targets must provide beta, beta_bar, or log_a")
+    if thresholds.n_streams != n:
+        raise ConfigError(f"log_a has {thresholds.n_streams} rows for {n} streams")
+    return thresholds

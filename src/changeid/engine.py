@@ -24,11 +24,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .models import Model, whiten
+from .models import ARGaussianSignal, whiten
 from .prior import ChangePointPrior
 
 __all__ = ["MixingMeasure", "StatisticFrame", "Detector", "EngineError",
-           "posterior_no_change"]
+           "log_ratio_matrix", "posterior_no_change"]
 
 _WEIGHT_TOL = 1e-12
 
@@ -123,6 +123,16 @@ class StatisticFrame:
     log_ratio: np.ndarray
 
 
+def log_ratio_matrix(log_mix: np.ndarray, log_survivor: float,
+                     log_sup: np.ndarray) -> np.ndarray:
+    """The (N, N+1) ratio layout of ``StatisticFrame.log_ratio``: column 0
+    is log_mix - log_survivor, column j is log_mix - log_sup[j-1], and the
+    entries (i, i) of columns 1..N are NaN."""
+    ratio = log_mix[:, None] - np.concatenate(([log_survivor], log_sup))
+    ratio[np.eye(log_mix.size, log_mix.size + 1, k=1, dtype=bool)] = np.nan
+    return ratio
+
+
 def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
     """P(nu >= n | data) under the stream-i change model: 1/(1 + ratio)."""
     x = frame.log_ratio[stream - 1, 0]
@@ -139,7 +149,8 @@ class Detector:
     whether an exact frame is worth computing.
     """
 
-    def __init__(self, prior: ChangePointPrior, models: Sequence[Model],
+    def __init__(self, prior: ChangePointPrior,
+                 models: Sequence[ARGaussianSignal],
                  mixing: Union[MixingMeasure, Sequence[MixingMeasure]],
                  window: Optional[int] = None, capacity: int = 1024):
         self.prior = prior
@@ -187,7 +198,9 @@ class Detector:
         self._tail = np.zeros((self.n_streams, order))
         self._s2 = np.array([m.sigma ** 2 for m in self.models])
         self._sw, self._half_v = self._signal_tables(self._cap)
-        self._invalidate()
+        # mixture and grid-sum statistics at time n, set by ``advance``
+        self._mix = np.full(self.n_streams, -np.inf)
+        self._cheap = np.full(self.n_streams, -np.inf)
 
     @property
     def _window_start(self) -> int:
@@ -242,10 +255,16 @@ class Detector:
         self._tail[:, :1] = x[:, None]
         inc = u[:, None] * self._grid - self._half_v[n][:, None] * self._grid_sq
         self._cumz[n + 1] = self._cumz[n] + inc
+        self.n = n + 1
         if self.window is None:
             np.logaddexp(self._B, self._lp[n] - self._cumz[n], out=self._B)
-        self.n = n + 1
-        self._invalidate()
+            b = self._B
+        else:
+            k = np.arange(self._window_start, self.n)
+            b = _lse(self._lp[k, None, None] - self._cumz[k], axis=0)
+        t1 = self._cumz[self.n] + b
+        self._cheap = _lse(t1, axis=1)
+        self._mix = _lse(t1 + self._logw, axis=1)
 
     def step(self, x) -> StatisticFrame:
         """Consume one observation vector and return the exact frame."""
@@ -254,45 +273,23 @@ class Detector:
 
     # -- statistics ------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        self._cache_mix = None
-        self._cache_cheap = None
-        self._cache_sup = None
-
-    def _mix_and_cheap(self):
-        if self._cache_mix is None:
-            s = self._window_start
-            if self.window is None:
-                b = self._B
-            else:
-                k = np.arange(s, self.n)
-                b = _lse(self._lp[k, None, None] - self._cumz[k], axis=0)
-            t1 = self._cumz[self.n] + b
-            self._cache_cheap = _lse(t1, axis=1)
-            self._cache_mix = _lse(t1 + self._logw, axis=1)
-        return self._cache_mix, self._cache_cheap
-
     @property
     def log_mix_values(self) -> np.ndarray:
         """log Lambda^pi_{i,W}(n) for every stream, shape (N,)."""
-        return self._mix_and_cheap()[0]
+        return self._mix
 
     @property
     def sup_lower_bounds(self) -> np.ndarray:
         """Cheap per-stream lower bounds on the exact log sup statistic."""
-        mix, cheap = self._mix_and_cheap()
-        return np.maximum(mix, cheap - math.log(self._width))
+        return np.maximum(self._mix, self._cheap - math.log(self._width))
 
     @property
     def log_sup_values(self) -> np.ndarray:
         """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,)."""
-        if self._cache_sup is None:
-            s = self._window_start
-            k = np.arange(s, self.n)
-            diff = self._cumz[self.n][None, :, :] - self._cumz[k]
-            rowmax = diff.max(axis=2)
-            self._cache_sup = _lse(self._lp[k, None] + rowmax, axis=0)
-        return self._cache_sup
+        k = np.arange(self._window_start, self.n)
+        diff = self._cumz[self.n][None, :, :] - self._cumz[k]
+        rowmax = diff.max(axis=2)
+        return _lse(self._lp[k, None] + rowmax, axis=0)
 
     @property
     def log_survivor(self) -> float:
@@ -301,14 +298,9 @@ class Detector:
     def frame(self) -> StatisticFrame:
         if self.n < 1:
             raise EngineError("no observations consumed yet")
-        mix, _ = self._mix_and_cheap()
+        mix = self.log_mix_values
         sup = self.log_sup_values
         lsv = self.log_survivor
-        nn = self.n_streams
-        ratio = np.empty((nn, nn + 1))
-        ratio[:, 0] = mix - lsv
-        for j in range(1, nn + 1):
-            ratio[:, j] = mix - sup[j - 1]
-            ratio[j - 1, j] = np.nan
-        return StatisticFrame(n=self.n, log_mix=mix.copy(), log_sup=sup.copy(),
-                              log_survivor=lsv, log_ratio=ratio)
+        return StatisticFrame(n=self.n, log_mix=mix, log_sup=sup,
+                              log_survivor=lsv,
+                              log_ratio=log_ratio_matrix(mix, lsv, sup))

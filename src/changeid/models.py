@@ -1,22 +1,18 @@
-"""Stream observation models and log-likelihood-ratio increments.
+"""Stream observation model and log-likelihood-ratio increments.
 
-Two concrete models are shipped:
+One model is shipped: ``ARGaussianSignal``, a deterministic signal of
+unknown amplitude theta appearing in stable AR(p) Gaussian noise.
+Whitening by the AR coefficients reduces the LLR to a weighted Gaussian
+form.  Its defaults -- AR order 0 and the unit signal S_t = 1 -- are the
+i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
 
-* ``GaussianMeanShift`` -- i.i.d. N(0, sigma^2) observations that jump to
-  mean theta after the change.
-* ``ARGaussianSignal``  -- a deterministic signal of unknown amplitude theta
-  appearing in stable AR(p) Gaussian noise.  Whitening by the AR
-  coefficients reduces the LLR to a weighted Gaussian form.
-
-Both are a signal theta*S_t in AR(p) Gaussian noise -- the mean shift is
-order 0 with S_t = 1 -- so the per-step LLR increment is linear-quadratic
-in theta: inc = theta*u_t - theta^2*v_t/2 with per-step coefficients
-u_t, v_t depending only on the observations.
+The per-step LLR increment is linear-quadratic in theta:
+inc = theta*u_t - theta^2*v_t/2 with per-step coefficients u_t, v_t
+depending only on the observations.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,7 +20,7 @@ from scipy.signal import lfilter
 
 __all__ = [
     "whiten", "ConstantSignal", "SineSignal",
-    "GaussianMeanShift", "ARGaussianSignal", "TrialPath",
+    "ARGaussianSignal", "TrialPath",
     "simulate", "info_number_pair_inf", "ModelError",
 ]
 
@@ -69,19 +65,42 @@ class SineSignal:
 Signal = Union[ConstantSignal, SineSignal]
 
 
-class _GaussianBase:
-    """Shared LLR plumbing for the additive Gaussian models.
+# horizon of the Cesaro mean in ``whitened_energy`` for non-constant signals
+_ENERGY_WINDOW = 100_000
 
-    A model provides ``sigma``, ``ar_coeffs`` and ``signal_values``; the
-    increment form below is the only one, and the engine reads the same
-    three attributes to compute it one step at a time.
+
+@dataclass(frozen=True)
+class ARGaussianSignal:
+    """Deterministic signal theta*S_t in stable AR(p) Gaussian noise.
+
+    ``ARGaussianSignal(theta_min, theta_max, sigma)`` is the i.i.d. mean
+    shift: N(0, sigma^2) pre-change, N(theta, sigma^2) post-change.  The
+    engine reads ``sigma``, ``ar_coeffs`` and ``signal_values`` to compute
+    the increments of ``llr_coefficients`` one step at a time.
     """
+
+    theta_min: float
+    theta_max: float
+    sigma: float = 1.0
+    ar_coeffs: tuple = ()
+    signal: Signal = ConstantSignal()
+    stationary_init: bool = False
+
+    def __post_init__(self):
+        if self.sigma <= 0:
+            raise ModelError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.theta_min <= self.theta_max):
+            raise ModelError("need 0 < theta_min <= theta_max")
+        object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
 
     def _check_theta(self, theta: float) -> None:
         if not (self.theta_min <= theta <= self.theta_max):
             raise ModelError(
                 f"theta={theta} outside parameter interval "
                 f"[{self.theta_min}, {self.theta_max}]")
+
+    def signal_values(self, horizon: int) -> np.ndarray:
+        return self.signal.values(horizon)
 
     def llr_coefficients(self, observations: np.ndarray):
         """Per-step coefficients (u, v) with increment theta*u - theta^2*v/2."""
@@ -98,56 +117,6 @@ class _GaussianBase:
         u, v = self.llr_coefficients(np.asarray(observations, dtype=float))
         return np.outer(u, thetas) - 0.5 * np.outer(v, thetas ** 2)
 
-
-@dataclass(frozen=True)
-class GaussianMeanShift(_GaussianBase):
-    """i.i.d. N(0, sigma^2) pre-change, N(theta, sigma^2) post-change."""
-
-    theta_min: float
-    theta_max: float
-    sigma: float = 1.0
-    ar_coeffs = ()          # i.i.d. noise: AR order 0, not a field
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ModelError(f"sigma must be positive, got {self.sigma}")
-        if not (0 < self.theta_min <= self.theta_max):
-            raise ModelError("need 0 < theta_min <= theta_max")
-
-    def signal_values(self, horizon: int) -> np.ndarray:
-        return np.ones(horizon)
-
-    def sample_noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        return self.sigma * rng.standard_normal(horizon)
-
-    def info_number(self, theta: float) -> float:
-        """Kullback-Leibler rate theta^2 / (2 sigma^2)."""
-        self._check_theta(theta)
-        return theta ** 2 / (2.0 * self.sigma ** 2)
-
-
-@dataclass(frozen=True)
-class ARGaussianSignal(_GaussianBase):
-    """Deterministic signal theta*S_t in stable AR(p) Gaussian noise."""
-
-    theta_min: float
-    theta_max: float
-    sigma: float = 1.0
-    ar_coeffs: tuple = ()
-    signal: Signal = ConstantSignal()
-    stationary_init: bool = False
-    energy_window: int = 100_000
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ModelError(f"sigma must be positive, got {self.sigma}")
-        if not (0 < self.theta_min <= self.theta_max):
-            raise ModelError("need 0 < theta_min <= theta_max")
-        object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
-
-    def signal_values(self, horizon: int) -> np.ndarray:
-        return self.signal.values(horizon)
-
     def sample_noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         burn = 1000 if self.stationary_init else 0
         w = self.sigma * rng.standard_normal(horizon + burn)
@@ -160,7 +129,7 @@ class ARGaussianSignal(_GaussianBase):
         """Cesaro limit Q of the mean squared whitened signal."""
         if isinstance(self.signal, ConstantSignal):
             return (self.signal.amplitude * (1.0 - sum(self.ar_coeffs))) ** 2
-        st = whiten(self.signal_values(self.energy_window), self.ar_coeffs)
+        st = whiten(self.signal_values(_ENERGY_WINDOW), self.ar_coeffs)
         return float(np.mean(st ** 2))
 
     def info_number(self, theta: float) -> float:
@@ -169,15 +138,13 @@ class ARGaussianSignal(_GaussianBase):
         return theta ** 2 * self.whitened_energy() / (2.0 * self.sigma ** 2)
 
 
-Model = Union[GaussianMeanShift, ARGaussianSignal]
-
-
-def info_number_pair_inf(model_i: Model, theta_i: float, model_j: Model,
+def info_number_pair_inf(model_i: ARGaussianSignal, theta_i: float,
+                         model_j: ARGaussianSignal,
                          grid_j: Optional[np.ndarray] = None):
     """Infimum of I_ij = I_i(theta_i) + I_0j(theta_j) over the competitor's
     parameter space.
 
-    Returns (on_grid, analytic).  For the shipped Gaussian families the
+    Returns (on_grid, analytic).  For the shipped Gaussian model the
     pre-change drift rate I_0j(theta) equals the post-change rate
     I_j(theta), so ``info_number`` serves both.  It is increasing in
     |theta_j|, so the infimum over [theta_min, theta_max] sits at
@@ -211,7 +178,7 @@ class TrialPath:
         return self.observations.shape[0]
 
 
-def simulate(models: Sequence[Model], horizon: int, rng: np.random.Generator,
+def simulate(models: Sequence[ARGaussianSignal], horizon: int, rng: np.random.Generator,
              stream: int = 0, theta: float = 0.0, nu=None, prior=None) -> TrialPath:
     """Sample a TrialPath: all streams pre-change except ``stream`` (1-based)
     which gains the additive signal theta*S_t for t > nu.

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist, norm as norm_dist
 
 from .engine import MixingMeasure
-from .models import Model, simulate
+from .models import ARGaussianSignal, simulate
 from .prior import ChangePointPrior
 from .rule import ThresholdMatrix, Verdict, run
 
@@ -114,7 +114,7 @@ def _run_batch(plan: ExperimentPlan, models, prior, mixing, thresholds,
         return list(pool.map(_run_one, tasks, chunksize=64))
 
 
-def run_null_batch(plan: ExperimentPlan, models: Sequence[Model],
+def run_null_batch(plan: ExperimentPlan, models: Sequence[ARGaussianSignal],
                    prior: ChangePointPrior,
                    mixing: Union[MixingMeasure, Sequence[MixingMeasure]],
                    thresholds: ThresholdMatrix) -> List[TrialOutcome]:
@@ -123,7 +123,7 @@ def run_null_batch(plan: ExperimentPlan, models: Sequence[Model],
                       tag="null", stream=0, theta=0.0, nu=None)
 
 
-def run_change_batch(plan: ExperimentPlan, models: Sequence[Model],
+def run_change_batch(plan: ExperimentPlan, models: Sequence[ARGaussianSignal],
                      prior: ChangePointPrior,
                      mixing: Union[MixingMeasure, Sequence[MixingMeasure]],
                      thresholds: ThresholdMatrix, stream: int, theta: float,
@@ -157,8 +157,8 @@ def _fsum(values) -> float:
 # -- estimators ----------------------------------------------------------
 
 def estimate_pfa(outcomes: Sequence[TrialOutcome], prior: ChangePointPrior,
-                 n_streams: int, confidence: float = 0.95,
-                 horizon: Optional[int] = None):
+                 n_streams: int, confidence: float = 0.95, *,
+                 horizon: int):
     """Survivor-weighted false-alarm estimates from no-change trials.
 
     Returns one dict per stream with the point estimate, a one-sided upper
@@ -172,8 +172,7 @@ def estimate_pfa(outcomes: Sequence[TrialOutcome], prior: ChangePointPrior,
     if n == 0:
         raise MonteCarloError("no completed trials")
     n_censored = sum(1 for o in outcomes if not o.stopped)
-    at_least = horizon + 1 if horizon is not None else _horizon_plus_one(outcomes)
-    censor_term = prior.survivor(at_least) * n_censored / n
+    censor_term = prior.survivor(horizon + 1) * n_censored / n
     z = float(norm_dist.ppf(confidence))
     rows = []
     for i in range(1, n_streams + 1):
@@ -193,13 +192,6 @@ def estimate_pfa(outcomes: Sequence[TrialOutcome], prior: ChangePointPrior,
             "censor_term": censor_term,
         })
     return rows
-
-
-def _horizon_plus_one(outcomes) -> int:
-    # alarm times observed are <= horizon; a censored trial would have
-    # contributed at most survivor(horizon + 1)
-    times = [o.time for o in outcomes if o.stopped]
-    return (max(times) if times else 0) + 1
 
 
 def estimate_pmi(outcomes: Sequence[TrialOutcome], stream: int,
@@ -267,8 +259,9 @@ def estimate_delay(outcomes: Sequence[TrialOutcome], stream: int, r: int = 1,
     }
 
 
-def validate_conditions(models: Sequence[Model], thetas: Sequence[float],
-                        master_seed: int, n_paths: int = 100,
+def validate_conditions(models: Sequence[ARGaussianSignal],
+                        thetas: Sequence[float], master_seed: int,
+                        n_paths: int = 100,
                         n_values: Sequence[int] = (1000, 10_000),
                         tolerance: float = 0.05):
     """Law-of-large-numbers diagnostics for the per-step statistic drift.

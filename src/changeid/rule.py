@@ -13,8 +13,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import Detector, MixingMeasure, StatisticFrame
-from .models import Model, TrialPath
+from .engine import Detector, MixingMeasure, StatisticFrame, log_ratio_matrix
+from .models import ARGaussianSignal, TrialPath
 from .prior import ChangePointPrior
 
 __all__ = ["ThresholdMatrix", "Verdict", "CalibrationError",
@@ -36,9 +36,9 @@ class ThresholdMatrix:
     def __post_init__(self):
         log_a = np.asarray(self.log_a, dtype=float)
         object.__setattr__(self, "log_a", log_a)
-        n = log_a.shape[0]
-        if log_a.shape != (n, n + 1):
+        if log_a.ndim != 2 or log_a.shape[1] != log_a.shape[0] + 1:
             raise CalibrationError(f"threshold matrix must be (N, N+1), got {log_a.shape}")
+        n = log_a.shape[0]
         off = ~np.eye(n, n + 1, k=1, dtype=bool)
         if not np.all(np.isfinite(log_a[off])):
             raise CalibrationError("all off-diagonal log thresholds must be finite")
@@ -127,7 +127,6 @@ class Verdict:
     stopped: bool
     time: Optional[int]          # alarm time T when stopped
     stream: Optional[int]        # identified stream d in 1..N
-    frame: Optional[StatisticFrame]
     met_streams: tuple = ()
     horizon: Optional[int] = None
 
@@ -136,32 +135,37 @@ class Verdict:
         return not self.stopped
 
 
+def _met(log_ratio: np.ndarray, log_a: np.ndarray) -> np.ndarray:
+    """Per row of the (N, N+1) layout: does stream i beat every competitor
+    threshold?  The (i, i) entries are skipped; a NaN ratio never passes."""
+    n = log_a.shape[0]
+    return np.all((log_ratio >= log_a) | np.eye(n, n + 1, k=1, dtype=bool),
+                  axis=1)
+
+
 def check_stop(frame: StatisticFrame, thresholds: ThresholdMatrix) -> Optional[Verdict]:
     """Return a Verdict if some stream meets its full criterion at this
     frame, else None.  Ties break to the smallest stream index."""
-    n = thresholds.n_streams
-    diag = np.eye(n, n + 1, k=1, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        diff_ok = (frame.log_ratio - thresholds.log_a) >= 0
-    met = np.all(diff_ok | diag, axis=1)
+    met = _met(frame.log_ratio, thresholds.log_a)
     if not np.any(met):
         return None
     winners = tuple(int(i) + 1 for i in np.nonzero(met)[0])
-    return Verdict(stopped=True, time=frame.n, stream=winners[0], frame=frame,
+    return Verdict(stopped=True, time=frame.n, stream=winners[0],
                    met_streams=winners)
 
 
-def run(models: Sequence[Model], prior: ChangePointPrior,
+def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
         mixing: Union[MixingMeasure, Sequence[MixingMeasure]],
         thresholds: ThresholdMatrix, path: Union[TrialPath, np.ndarray],
         window: Optional[int] = None) -> Verdict:
     """Feed a finite path through the detector and stop at the first time
     any stream's criterion is met.
 
-    The loop screens each step with cheap lower bounds on the competitor
-    denominators before computing the exact frame, which never changes the
-    verdict: a lower bound on a denominator gives an upper bound on the
-    ratio, so steps rejected by the screen fail the exact criterion too.
+    The loop screens each step before computing the exact frame, which
+    never changes the verdict: the screen applies the same criterion to
+    ratios against cheap lower bounds on the competitor denominators, and
+    those ratios bound the exact ones from above, so a step the screen
+    rejects fails the exact criterion too.
     """
     obs = path.observations if isinstance(path, TrialPath) else np.asarray(path, dtype=float)
     n_streams, horizon = obs.shape
@@ -170,25 +174,16 @@ def run(models: Sequence[Model], prior: ChangePointPrior,
     det = Detector(prior, models, mixing, window=window,
                    capacity=max(horizon, 16))
     log_a = thresholds.log_a
-    log_a0 = log_a[:, 0]
     for t in range(horizon):
         det.advance(obs[:, t])
         mix = det.log_mix_values
-        c0 = mix - det.log_survivor
-        cand = c0 >= log_a0
-        if not np.any(cand):
+        lsv = det.log_survivor
+        if not np.any(mix - lsv >= log_a[:, 0]):
             continue
-        if n_streams > 1:
-            slb = det.sup_lower_bounds
-            ub = mix[:, None] - slb[None, :]      # upper bound on ratio vs j
-            for i in np.nonzero(cand)[0]:
-                ok = np.delete(ub[i] >= log_a[i, 1:], i)
-                if not np.all(ok):
-                    cand[i] = False
-        if not np.any(cand):
+        if not np.any(_met(log_ratio_matrix(mix, lsv, det.sup_lower_bounds),
+                           log_a)):
             continue
         verdict = check_stop(det.frame(), thresholds)
         if verdict is not None:
             return verdict
-    return Verdict(stopped=False, time=None, stream=None, frame=None,
-                   horizon=horizon)
+    return Verdict(stopped=False, time=None, stream=None, horizon=horizon)

@@ -13,9 +13,9 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
-                      Detector, ExperimentPlan, GaussianMeanShift,
-                      MixingMeasure, ThresholdMatrix, calibrate,
-                      estimate_delay, estimate_pfa, estimate_pmi,
+                      Detector, ExperimentPlan, MixingMeasure,
+                      ThresholdMatrix, calibrate, estimate_delay,
+                      estimate_pfa, estimate_pmi,
                       info_number_pair_inf, posterior_no_change,
                       psi_threshold, run, run_change_batch, run_null_batch,
                       simulate, validate_conditions)
@@ -36,8 +36,8 @@ def standard():
     uniform weights, geometric change-point prior (rho=0.05, q=0),
     thresholds calibrated at alpha = beta = 0.05."""
     prior = ChangePointPrior.geometric(0.05, q=0.0)
-    models = [GaussianMeanShift(0.25, 2.0, sigma=1.0),
-              GaussianMeanShift(0.25, 2.0, sigma=1.0)]
+    models = [ARGaussianSignal(0.25, 2.0, sigma=1.0),
+              ARGaussianSignal(0.25, 2.0, sigma=1.0)]
     mix = MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
     thresholds = calibrate(0.05, 0.05, n_streams=2)
     return prior, models, mix, thresholds
@@ -120,7 +120,7 @@ def test_04_ar1_information_rate():
 
 def test_05_oracle_equivalence():
     prior = ChangePointPrior.geometric(0.08, q=0.1)
-    models = [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.25, 2.0)]
+    models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
     mixes = [MixingMeasure.uniform(0.25, 2.0, 5),
              MixingMeasure.uniform(0.3, 1.8, 5)]
     grids = [m.grid for m in mixes]
@@ -204,7 +204,7 @@ def test_07_unit_expectation_under_no_change():
 
 def test_08_posterior_identity():
     prior = ChangePointPrior.geometric(0.1, q=0.15)
-    model = GaussianMeanShift(0.25, 2.0)
+    model = ARGaussianSignal(0.25, 2.0)
     mix = MixingMeasure.uniform(0.25, 2.0, 5)
     rng = np.random.default_rng(SEED + 3)
     x = rng.standard_normal(30) + np.where(np.arange(30) >= 12, 0.8, 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from changeid import GaussianMeanShift, simulate
+from changeid import ARGaussianSignal, simulate
 from changeid.cli import main
 
 
@@ -75,25 +75,48 @@ class TestCalibrate:
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
-    @pytest.mark.parametrize("overrides", [
-        {"prior": 5},
-        {"models": [1]},
-        {"mixing": [1, 2]},
-        {"theta_points": 1.0},
-        {"models": [{"kind": "ar_gaussian", "theta_min": 0.25,
-                     "theta_max": 2.0, "ar_coeffs": 0.5}]},
-        {"nu_points": [5]},
-    ], ids=["prior", "models", "mixing", "theta_points", "ar_coeffs",
-            "nu_points"])
-    def test_malformed_config_exit_2(self, config_path, capsys, overrides):
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param({"prior": 5}, None, id="prior"),
+        pytest.param({"models": [1]}, None, id="models"),
+        pytest.param({"mixing": [1, 2]}, None, id="mixing"),
+        pytest.param({"theta_points": 1.0}, None, id="theta_points"),
+        pytest.param({"models": [{"kind": "ar_gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "ar_coeffs": 0.5}]},
+                     None, id="ar_coeffs"),
+        pytest.param({"nu_points": [5]}, None, id="nu_points"),
+        pytest.param({"models": [{"kind": "nope", "theta_min": 0.25,
+                                  "theta_max": 2.0}]},
+                     "error: stream 1: unknown model kind 'nope'\n",
+                     id="model_kind"),
+        pytest.param({"targets": {"log_a": 5}}, None, id="log_a_scalar"),
+        pytest.param({"targets": {"log_a": [[1.0, float("nan")]]}}, None,
+                     id="log_a_rows"),
+        pytest.param({"targets": {"alpha": {"a": 1}, "beta": 0.05}}, None,
+                     id="alpha_mapping"),
+        pytest.param({"models": [{"kind": "gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "sigmaa": 2.0}] * 2},
+                     None, id="model_key"),
+        pytest.param({"models": [{"kind": "gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "ar_coeffs": [0.5]}] * 2},
+                     None, id="gaussian_ar_coeffs"),
+        pytest.param({"prior": {"kind": "geometric", "rho": 0.05, "qq": 0.5}},
+                     None, id="prior_key"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 8,
+                                 "spaceing": "log"}}, None, id="mixing_key"),
+    ])
+    def test_malformed_config_exit_2(self, config_path, capsys, overrides,
+                                     message):
         assert main(["calibrate", "--config", config_path(overrides)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if message is not None:
+            assert err == message
 
 
 class TestDetect:
     def _fixture_path(self, tmp_path, theta=2.0, nu=50, horizon=200, seed=4,
                       stream=1):
-        models = [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.25, 2.0)]
+        models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
         path = simulate(models, horizon, np.random.default_rng(seed),
                         stream=stream, theta=theta, nu=nu)
         csv_path = tmp_path / "data.csv"

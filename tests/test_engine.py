@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
-                      Detector, EngineError, GaussianMeanShift, MixingMeasure,
-                      SineSignal, posterior_no_change)
+                      Detector, EngineError, MixingMeasure, SineSignal,
+                      posterior_no_change)
 from conftest import oracle_frame
 
 
 def make_setup(n_streams=2, grid_pts=5, q=0.0, rho=0.1):
     prior = ChangePointPrior.geometric(rho, q=q)
-    models = [GaussianMeanShift(0.25, 2.0) for _ in range(n_streams)]
+    models = [ARGaussianSignal(0.25, 2.0) for _ in range(n_streams)]
     mix = MixingMeasure.uniform(0.25, 2.0, grid_pts)
     return prior, models, mix
 
@@ -68,7 +68,7 @@ class TestOracleEquivalence:
         # AR order 0: the post-change mean is theta*S_t, not theta
         prior = ChangePointPrior.geometric(0.1)
         models = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(), signal=signal),
-                  GaussianMeanShift(0.25, 2.0)]
+                  ARGaussianSignal(0.25, 2.0)]
         mix = MixingMeasure.uniform(0.25, 2.0, 5)
         det = Detector(prior, models, mix)
         obs = rng.standard_normal((2, 20))
@@ -82,7 +82,7 @@ class TestOracleEquivalence:
 
     def test_per_stream_grids(self, rng):
         prior = ChangePointPrior.geometric(0.1)
-        models = [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.5, 3.0)]
+        models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.5, 3.0)]
         mixes = [MixingMeasure.uniform(0.25, 2.0, 5),
                  MixingMeasure.uniform(0.5, 3.0, 3)]
         det = Detector(prior, models, mixes)

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
-                      Detector, GaussianMeanShift, MixingMeasure, ModelError,
+                      Detector, MixingMeasure, ModelError,
                       SineSignal, info_number_pair_inf, simulate, whiten)
 
 
@@ -29,9 +29,11 @@ class TestWhiten:
         np.testing.assert_allclose(whiten(x, coeffs), w, atol=1e-10)
 
 
-class TestGaussianMeanShift:
+class TestMeanShiftDefaults:
+    # the default ARGaussianSignal (AR order 0, unit signal) is the i.i.d.
+    # N(0, sigma^2) -> N(theta, sigma^2) mean shift
     def test_increment_matches_density_ratio(self, rng):
-        model = GaussianMeanShift(0.1, 3.0, sigma=1.5)
+        model = ARGaussianSignal(0.1, 3.0, sigma=1.5)
         x = rng.standard_normal(20) * 1.5
         for theta in (0.5, 2.0):
             got = model.llr_increments(x, [theta])[:, 0]
@@ -39,14 +41,14 @@ class TestGaussianMeanShift:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_info_number(self):
-        model = GaussianMeanShift(0.25, 2.0)
+        model = ARGaussianSignal(0.25, 2.0)
         assert model.info_number(1.0) == pytest.approx(0.5)
         assert model.info_number(0.5) == pytest.approx(0.125)
-        model2 = GaussianMeanShift(0.25, 2.0, sigma=2.0)
+        model2 = ARGaussianSignal(0.25, 2.0, sigma=2.0)
         assert model2.info_number(1.0) == pytest.approx(0.125)
 
     def test_theta_out_of_range(self):
-        model = GaussianMeanShift(0.25, 2.0)
+        model = ARGaussianSignal(0.25, 2.0)
         with pytest.raises(ModelError):
             model.llr_increments(np.zeros(3), [3.0])
         with pytest.raises(ModelError):
@@ -81,8 +83,7 @@ class TestARGaussianSignal:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_sine_signal_energy_numeric(self):
-        m = self._model(ar_coeffs=(), signal=SineSignal(omega=0.7),
-                        energy_window=200_000)
+        m = self._model(ar_coeffs=(), signal=SineSignal(omega=0.7))
         # mean of sin^2 is 1/2
         assert m.whitened_energy() == pytest.approx(0.5, abs=1e-3)
 
@@ -98,7 +99,7 @@ class TestARGaussianSignal:
         # An AR(2) stream next to an order-0 one checks the zero padding.
         models = [self._model(ar_coeffs=(0.4, 0.1), sigma=1.3,
                               signal=SineSignal(omega=0.7)),
-                  GaussianMeanShift(0.25, 2.0, sigma=0.8)]
+                  ARGaussianSignal(0.25, 2.0, sigma=0.8)]
         x = rng.standard_normal((2, 10))
         batch = np.stack([m.llr_increments(x[s], [1.0])[:, 0]
                           for s, m in enumerate(models)], axis=1)
@@ -114,8 +115,8 @@ class TestARGaussianSignal:
 
 class TestPairInformation:
     def test_inf_over_competitor(self):
-        a = GaussianMeanShift(0.25, 2.0)
-        b = GaussianMeanShift(0.25, 2.0)
+        a = ARGaussianSignal(0.25, 2.0)
+        b = ARGaussianSignal(0.25, 2.0)
         on_grid, analytic = info_number_pair_inf(a, 1.0, b,
                                                  grid_j=np.array([0.3, 1.0]))
         # inf over the interval sits at theta_min = 0.25
@@ -125,7 +126,7 @@ class TestPairInformation:
 
 class TestSimulate:
     def _models(self):
-        return [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.25, 2.0)]
+        return [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
 
     def test_shapes_and_labels(self, rng):
         path = simulate(self._models(), 100, rng, stream=2, theta=1.0, nu=10)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
-from changeid import (ChangePointPrior, ExperimentPlan, GaussianMeanShift,
+from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       MixingMeasure, MonteCarloError, RiskReport,
                       TrialOutcome, calibrate, clopper_pearson_upper,
                       estimate_delay, estimate_pfa, estimate_pmi,
@@ -21,7 +21,7 @@ def outcome(idx, stopped=True, time=1, stream=1, nu=-1, true_stream=0,
 
 def standard_setup():
     prior = ChangePointPrior.geometric(0.1)
-    models = [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.25, 2.0)]
+    models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
     mix = MixingMeasure.uniform(0.25, 2.0, 5)
     th = calibrate(0.1, 0.1, n_streams=2)
     return prior, models, mix, th
@@ -72,7 +72,7 @@ class TestEstimatePfa:
 
     def test_empty_input_rejected(self):
         with pytest.raises(MonteCarloError):
-            estimate_pfa([], ChangePointPrior.geometric(0.1), 2)
+            estimate_pfa([], ChangePointPrior.geometric(0.1), 2, horizon=50)
 
     def test_identity_against_naive_double_sum(self):
         # survivor-weighted estimator vs sum_k pi_k P(T <= k, d = i)
@@ -184,7 +184,7 @@ class TestBatches:
 
 class TestValidateConditions:
     def test_iid_gaussian_rate(self):
-        models = [GaussianMeanShift(0.25, 2.0)]
+        models = [ARGaussianSignal(0.25, 2.0)]
         rows = validate_conditions(models, [1.0], master_seed=0,
                                    n_paths=50, n_values=(2000,))
         row = rows[0]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from changeid import (CalibrationError, ChangePointPrior, GaussianMeanShift,
-                      MixingMeasure, StatisticFrame, ThresholdMatrix,
-                      calibrate, calibrate_star, check_stop, run, simulate)
+from changeid import (ARGaussianSignal, CalibrationError, ChangePointPrior,
+                      Detector, MixingMeasure, SineSignal, StatisticFrame,
+                      ThresholdMatrix, calibrate, calibrate_star, check_stop,
+                      run, simulate)
 from conftest import oracle_verdict
 
 
@@ -95,7 +96,7 @@ class TestCheckStop:
 class TestRun:
     def _setup(self):
         prior = ChangePointPrior.geometric(0.1)
-        models = [GaussianMeanShift(0.25, 2.0), GaussianMeanShift(0.25, 2.0)]
+        models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
         mix = MixingMeasure.uniform(0.25, 2.0, 5)
         return prior, models, mix
 
@@ -154,3 +155,43 @@ class TestRun:
         v_full = run(models, prior, mix, th, path)
         v_win = run(models, prior, mix, th, path, window=150)
         assert (v_full.time, v_full.stream) == (v_win.time, v_win.stream)
+
+
+class TestScreen:
+    """The screen in ``run`` never changes a verdict: it agrees with an
+    exact frame and ``check_stop`` at every step."""
+
+    MODELS = [ARGaussianSignal(0.25, 2.0),
+              ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5,),
+                               signal=SineSignal(omega=0.3, amplitude=3.0)),
+              ARGaussianSignal(0.25, 2.0, sigma=1.3)]
+
+    @pytest.mark.parametrize("window", [None, 5], ids=["full", "window5"])
+    @pytest.mark.parametrize("n_streams", [1, 3])
+    def test_matches_screen_free_loop(self, n_streams, window):
+        models = self.MODELS[:n_streams]
+        prior = ChangePointPrior.geometric(0.05)
+        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        th = calibrate(0.1, 0.1, n_streams=n_streams)
+        stops = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            stream = seed % (n_streams + 1)
+            path = simulate(models, 80, rng, stream=stream,
+                            theta=1.0 if stream else 0.0,
+                            nu=10 if stream else None)
+            det = Detector(prior, models, mix, window=window)
+            assert np.all(det.log_mix_values == -np.inf)
+            want = None
+            for t in range(path.horizon):
+                want = check_stop(det.step(path.observations[:, t]), th)
+                if want is not None:
+                    break
+            got = run(models, prior, mix, th, path, window=window)
+            if want is None:
+                assert got.censored
+            else:
+                stops += 1
+                assert (got.time, got.stream, got.met_streams) == \
+                       (want.time, want.stream, want.met_streams)
+        assert stops > 0
