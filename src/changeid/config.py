@@ -88,10 +88,36 @@ def _kind(section: dict, table: dict, default, what: str) -> str:
     return kind
 
 
+def _number(value, what: str) -> float:
+    """A config number; a YAML bool is rejected, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A config integer; bools and non-integral numbers are rejected, not
+    truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _flag(section: dict, key: str) -> bool:
+    """A YAML bool, false when absent; a string such as "no" is rejected."""
+    value = section.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _numbers(value, what: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of numbers, got {value!r}")
-    return [float(v) for v in value]
+    return [_number(v, what) for v in value]
 
 
 def load_config(path: str) -> RunConfig:
@@ -113,20 +139,25 @@ def load_config(path: str) -> RunConfig:
     models = raw["models"]
     if not isinstance(models, list) or not models:
         raise ConfigError("models must be a nonempty list of stream sections")
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a directory path, got {out!r}")
     try:
         cfg = RunConfig(
             prior=_mapping(raw["prior"], "prior"),
             models=[_mapping(m, "each models entry") for m in models],
             mixing=_mapping(raw["mixing"], "mixing"),
             targets=_mapping(raw.get("targets") or {}, "targets"),
-            horizon=int(raw.get("horizon", 1000)),
-            trials=int(raw.get("trials", 100)),
-            seed=int(raw.get("seed", 0)),
-            threads=int(raw.get("threads", 1)),
-            window=None if raw.get("window") is None else int(raw["window"]),
+            horizon=_integer(raw.get("horizon", 1000), "horizon"),
+            trials=_integer(raw.get("trials", 100), "trials"),
+            seed=_integer(raw.get("seed", 0), "seed"),
+            threads=_integer(raw.get("threads", 1), "threads"),
+            window=(None if raw.get("window") is None
+                    else _integer(raw["window"], "window")),
             theta_points=_numbers(raw.get("theta_points", []), "theta_points"),
-            change_stream=int(raw.get("change_stream", 1)),
-            out=raw.get("out"),
+            change_stream=_integer(raw.get("change_stream", 1),
+                                   "change_stream"),
+            out=out,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}")
@@ -140,13 +171,16 @@ def load_config(path: str) -> RunConfig:
 def build_prior(section: dict) -> ChangePointPrior:
     kind = _kind(section, _PRIOR_KEYS, None, "prior")
     try:
-        q = float(section.get("q", 0.0))
+        q = _number(section.get("q", 0.0), "q")
         if kind == "geometric":
-            return ChangePointPrior.geometric(float(section["rho"]), q=q)
+            return ChangePointPrior.geometric(_number(section["rho"], "rho"),
+                                              q=q)
         if kind == "discrete_weibull":
             return ChangePointPrior.discrete_weibull(
-                float(section["kappa"]), float(section["scale"]), q=q)
-        return ChangePointPrior.from_pmf(section["probs"], q=q)
+                _number(section["kappa"], "kappa"),
+                _number(section["scale"], "scale"), q=q)
+        return ChangePointPrior.from_pmf(_numbers(section["probs"], "probs"),
+                                         q=q)
     except KeyError as exc:
         raise ConfigError(f"prior section missing key {exc}")
     except (TypeError, ValueError) as exc:
@@ -158,11 +192,12 @@ def _build_signal(section) -> object:
         return ConstantSignal()
     section = _mapping(section, "signal")
     kind = _kind(section, _SIGNAL_KEYS, "constant", "signal")
+    amplitude = _number(section.get("amplitude", 1.0), "amplitude")
     if kind == "constant":
-        return ConstantSignal(amplitude=float(section.get("amplitude", 1.0)))
-    return SineSignal(omega=float(section["omega"]),
-                      phase=float(section.get("phase", 0.0)),
-                      amplitude=float(section.get("amplitude", 1.0)))
+        return ConstantSignal(amplitude=amplitude)
+    return SineSignal(omega=_number(section["omega"], "omega"),
+                      phase=_number(section.get("phase", 0.0), "phase"),
+                      amplitude=amplitude)
 
 
 def build_models(sections: List[dict]) -> list:
@@ -173,13 +208,13 @@ def build_models(sections: List[dict]) -> list:
         try:
             _kind(section, _MODEL_KEYS, "gaussian", "model")
             models.append(ARGaussianSignal(
-                theta_min=float(section["theta_min"]),
-                theta_max=float(section["theta_max"]),
-                sigma=float(section.get("sigma", 1.0)),
+                theta_min=_number(section["theta_min"], "theta_min"),
+                theta_max=_number(section["theta_max"], "theta_max"),
+                sigma=_number(section.get("sigma", 1.0), "sigma"),
                 ar_coeffs=tuple(_numbers(section.get("ar_coeffs", []),
                                          "ar_coeffs")),
                 signal=_build_signal(section.get("signal")),
-                stationary_init=bool(section.get("stationary_init", False))))
+                stationary_init=_flag(section, "stationary_init")))
         except ConfigError as exc:
             raise ConfigError(f"stream {idx}: {exc}")
         except KeyError as exc:
@@ -195,18 +230,18 @@ def build_mixing(section: dict) -> MixingMeasure:
         raise ConfigError(f"unknown weight scheme {weights!r}")
     _check_keys(section, _MIXING_KEYS[weights], "mixing")
     try:
-        count = int(section["count"])
-        if count < 2 and not section.get("single_point", False):
+        count = _integer(section["count"], "count")
+        single_point = _flag(section, "single_point")
+        if count < 2 and not single_point:
             raise ConfigError(
                 "grid count must be >= 2 (set single_point: true to override)")
         spacing = section.get("spacing", "linear")
+        lo = _number(section["min"], "min")
+        hi = _number(section["max"], "max")
         if weights == "uniform":
-            return MixingMeasure.uniform(float(section["min"]),
-                                         float(section["max"]), count,
-                                         spacing=spacing)
-        return MixingMeasure.gaussian(float(section["min"]),
-                                      float(section["max"]), count,
-                                      v=float(section.get("v", 1.0)),
+            return MixingMeasure.uniform(lo, hi, count, spacing=spacing)
+        return MixingMeasure.gaussian(lo, hi, count,
+                                      v=_number(section.get("v", 1.0), "v"),
                                       spacing=spacing)
     except KeyError as exc:
         raise ConfigError(f"mixing section missing key {exc}")
@@ -239,8 +274,8 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
         if form == "log_a":
             thresholds = ThresholdMatrix(log_a=t["log_a"])
         elif form == "beta_bar":
-            thresholds = calibrate_star(float(t["alpha"]), t["beta_bar"], n,
-                                        head_mass=head)
+            thresholds = calibrate_star(_number(t["alpha"], "alpha"),
+                                        t["beta_bar"], n, head_mass=head)
         else:
             thresholds = calibrate(t["alpha"], t["beta"], n_streams=n,
                                    head_mass=head)

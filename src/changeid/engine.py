@@ -5,13 +5,20 @@ finite mixing grid of post-change parameters, the log likelihood ratios
 
     log LR_{i,theta}(k, n) = sum_{t=k+1}^{n} log L_{i,theta}(t).
 
-These are represented through per-grid-point cumulative sums, so advancing
-one step costs O(grid) and the table never has to be rewritten.  From the
-table the engine derives, each step:
+These are represented through per-grid-point cumulative sums cumz, so the
+table never has to be rewritten.  The mixture over the candidates in the
+window, b_n = log sum_k pi_k e^{-cumz_k}, is one chunked prefix/suffix scan
+(van Herk 1992; Gil & Werman 1993) with chunk length L = window: a step
+costs O(grid) amortised, and full mode is the case L = infinity, a running
+logaddexp.  From b the engine derives, each step:
 
 * log of the prior-and-weight mixture statistic (numerator of every ratio),
-* log of the sup-over-grid statistic (denominator against stream j),
-* the ratio matrix against the no-change hypothesis and every competitor.
+* max over the grid of the per-grid-point mixture, a lower bound on the
+  sup-over-grid statistic that the rule's screen reads,
+
+and on demand the exact sup-over-grid statistic (denominator against
+stream j) and the ratio matrix against the no-change hypothesis and every
+competitor.
 
 The head mass pi_{-1} is folded into k = 0 because both candidates share
 the same likelihood ratio.
@@ -19,6 +26,7 @@ the same likelihood ratio.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -184,7 +192,11 @@ class Detector:
         self._cap = max(int(capacity), 16)
         self._cumz = np.zeros((self._cap + 1, self.n_streams, width))
         self._lp = self.prior.log_pmf_head_merged(self._cap)
-        self._B = np.full((self.n_streams, width), -np.inf)
+        # chunk length of the windowed scan; full mode is one endless chunk
+        self._chunk = self.window or sys.maxsize
+        # log-sum-exp of lp_k - cumz_k over this chunk's candidates so far,
+        # and over each suffix of the previous chunk; set by ``advance``
+        self._prefix = self._suffix = None
 
         # every model is a signal theta*S_t in AR(p) Gaussian noise (the
         # i.i.d. mean shift is order 0 with S_t = 1); shorter AR filters are
@@ -198,9 +210,9 @@ class Detector:
         self._tail = np.zeros((self.n_streams, order))
         self._s2 = np.array([m.sigma ** 2 for m in self.models])
         self._sw, self._half_v = self._signal_tables(self._cap)
-        # mixture and grid-sum statistics at time n, set by ``advance``
+        # mixture and screen bound at time n, set by ``advance``
         self._mix = np.full(self.n_streams, -np.inf)
-        self._cheap = np.full(self.n_streams, -np.inf)
+        self._bound = np.full(self.n_streams, -np.inf)
 
     @property
     def _window_start(self) -> int:
@@ -256,14 +268,24 @@ class Detector:
         inc = u[:, None] * self._grid - self._half_v[n][:, None] * self._grid_sq
         self._cumz[n + 1] = self._cumz[n] + inc
         self.n = n + 1
-        if self.window is None:
-            np.logaddexp(self._B, self._lp[n] - self._cumz[n], out=self._B)
-            b = self._B
+        # candidate k = n joins the window [n + 1 - L, n]; its chunk starts
+        # at n - c, and the rest of the window is the previous chunk's
+        # suffix from local index c + 1
+        L = self._chunk
+        c = n % L
+        a = self._lp[n] - self._cumz[n]
+        self._prefix = a if c == 0 else np.logaddexp(self._prefix, a)
+        if n >= L and c + 1 < L:
+            b = np.logaddexp(self._suffix[c + 1], self._prefix)
         else:
-            k = np.arange(self._window_start, self.n)
-            b = _lse(self._lp[k, None, None] - self._cumz[k], axis=0)
+            b = self._prefix
+        if c == L - 1:
+            k = slice(n + 1 - L, n + 1)
+            rows = self._lp[k, None, None] - self._cumz[k]
+            self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
+        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
         t1 = self._cumz[self.n] + b
-        self._cheap = _lse(t1, axis=1)
+        self._bound = t1.max(axis=1)
         self._mix = _lse(t1 + self._logw, axis=1)
 
     def step(self, x) -> StatisticFrame:
@@ -280,8 +302,11 @@ class Detector:
 
     @property
     def sup_lower_bounds(self) -> np.ndarray:
-        """Cheap per-stream lower bounds on the exact log sup statistic."""
-        return np.maximum(self._mix, self._cheap - math.log(self._width))
+        """Per-stream lower bounds on the exact log sup statistic:
+        max_g log sum_k pi_k LR_{theta_g}(k, n) over the window.  Since
+        max_g sum_k <= sum_k max_g, it is below ``log_sup_values``, and it
+        is at least ``log_mix_values`` because the weights sum to 1."""
+        return self._bound
 
     @property
     def log_sup_values(self) -> np.ndarray:

@@ -350,21 +350,15 @@ class RiskReport:
         return json.dumps(jsonable(asdict(self)), sort_keys=True,
                           indent=2, allow_nan=False) + "\n"
 
-    def csv_rows(self):
-        """One row per estimator cell: (table, key, value) triples."""
-        rows = []
-        for table in ("pfa", "pmi", "delay", "diagnostics"):
-            for idx, cell in enumerate(getattr(self, table)):
-                for key in sorted(cell):
-                    rows.append((table, idx, key, cell[key]))
-        for key in sorted(self.theory):
-            rows.append(("theory", 0, key, self.theory[key]))
-        return rows
-
     def to_csv(self) -> str:
+        """One row per estimator cell: table, cell index, key, repr(value)."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["table", "cell", "key", "value"])
-        for row in self.csv_rows():
-            writer.writerow([row[0], row[1], row[2], repr(row[3])])
+        for table in ("pfa", "pmi", "delay", "diagnostics"):
+            for idx, cell in enumerate(getattr(self, table)):
+                for key in sorted(cell):
+                    writer.writerow([table, idx, key, repr(cell[key])])
+        for key in sorted(self.theory):
+            writer.writerow(["theory", 0, key, repr(self.theory[key])])
         return buf.getvalue()

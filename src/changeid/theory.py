@@ -39,13 +39,6 @@ def pmi_bound(thresholds: ThresholdMatrix):
     return pair, rows
 
 
-def _max_ratio(log_num0: float, denom0: float, competitors) -> float:
-    best = log_num0 / denom0
-    for log_num, denom in competitors:
-        best = max(best, log_num / denom)
-    return best
-
-
 def psi_threshold(thresholds: ThresholdMatrix, stream: int, info: float,
                   pair_inf: Mapping[int, float], mu: float) -> float:
     """First-order expected-delay scale at given thresholds:
@@ -55,6 +48,8 @@ def psi_threshold(thresholds: ThresholdMatrix, stream: int, info: float,
     ``pair_inf`` maps competitor stream j (1-based) to inf I_ij.
     """
     i = stream - 1
-    comps = [(thresholds.log_a[i, j], pair_inf[j])
-             for j in range(1, thresholds.n_streams + 1) if j != stream]
-    return _max_ratio(thresholds.log_a[i, 0], info + mu, comps)
+    best = thresholds.log_a[i, 0] / (info + mu)
+    for j in range(1, thresholds.n_streams + 1):
+        if j != stream:
+            best = max(best, thresholds.log_a[i, j] / pair_inf[j])
+    return best

@@ -103,6 +103,25 @@ class TestCalibrate:
                      None, id="prior_key"),
         pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 8,
                                  "spaceing": "log"}}, None, id="mixing_key"),
+        pytest.param({"out": 5}, None, id="out_int"),
+        pytest.param({"models": [{"kind": "ar_gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "ar_coeffs": [0.5],
+                                  "stationary_init": "no"}] * 2},
+                     None, id="stationary_init_str"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 1,
+                                 "single_point": "no"}},
+                     None, id="single_point_str"),
+        pytest.param({"horizon": 2.7}, None, id="horizon_float"),
+        pytest.param({"trials": True}, None, id="trials_bool"),
+        pytest.param({"window": True}, None, id="window_bool"),
+        pytest.param({"seed": 1.5}, None, id="seed_float"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": True,
+                                 "single_point": True}},
+                     None, id="count_bool"),
+        pytest.param({"models": [{"kind": "gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "sigma": True}] * 2},
+                     None, id="sigma_bool"),
+        pytest.param({"theta_points": [True]}, None, id="theta_points_bool"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):

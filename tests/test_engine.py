@@ -42,7 +42,8 @@ class TestMixingMeasure:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("q,window", [(0.0, None), (0.2, None), (0.0, 7)])
+    @pytest.mark.parametrize("q,window", [(0.0, None), (0.2, None), (0.0, 7),
+                                          (0.0, 1), (0.0, 2)])
     def test_statistics_match_brute_force(self, rng, q, window):
         prior, models, mix = make_setup(q=q)
         det = Detector(prior, models, mix, window=window)
@@ -96,17 +97,25 @@ class TestOracleEquivalence:
 
 
 class TestBounds:
-    def test_mixture_below_sup_and_lower_bound_below_sup(self, rng):
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_mixture_below_sup_and_lower_bound_below_sup(self, rng, window):
         prior, models, mix = make_setup()
-        det = Detector(prior, models, mix)
-        for t in range(30):
-            det.advance(rng.standard_normal(2))
+        det = Detector(prior, models, mix, window=window)
+        obs = rng.standard_normal((2, 30))
+        for n in range(1, 31):
+            det.advance(obs[:, n - 1])
             mix_v = det.log_mix_values
             slb = det.sup_lower_bounds
             sup = det.log_sup_values
-            assert np.all(mix_v <= sup + 1e-12)
+            assert np.all(mix_v <= slb + 1e-12)
             assert np.all(slb <= sup + 1e-12)
             assert np.all(sup <= slb + math.log(mix.grid.size) + 1e-12)
+            # the bound is the best one-point mixture over the grid
+            one_point = [oracle_frame(obs, prior, [[g], [g]], [[1.0], [1.0]],
+                                      n, window=window)[0]
+                         for g in mix.grid]
+            np.testing.assert_allclose(slb, np.max(one_point, axis=0),
+                                       rtol=1e-9, atol=1e-9)
 
 
 class TestPosterior:
@@ -136,7 +145,7 @@ class TestWindow:
         for t in range(15):
             f1 = d1.step(obs[:, t])
             f2 = d2.step(obs[:, t])
-            np.testing.assert_allclose(f1.log_mix, f2.log_mix, rtol=1e-12)
+            np.testing.assert_array_equal(f1.log_mix, f2.log_mix)
             np.testing.assert_allclose(f1.log_sup, f2.log_sup, rtol=1e-12)
 
     def test_evicted_mass_grows(self, rng):
@@ -174,13 +183,16 @@ class TestCapacityGrowth:
     def test_growth_preserves_statistics(self, rng):
         prior, models, mix = make_setup()
         obs = rng.standard_normal((2, 40))
-        small = Detector(prior, models, mix, capacity=16)
-        big = Detector(prior, models, mix, capacity=64)
-        for t in range(40):
-            f1 = small.step(obs[:, t])
-            f2 = big.step(obs[:, t])
-            np.testing.assert_allclose(f1.log_mix, f2.log_mix, rtol=1e-12)
-            np.testing.assert_allclose(f1.log_sup, f2.log_sup, rtol=1e-12)
+        # at window 5 the tables grow inside the chunk of candidates 15..19,
+        # whose suffix scan then reads the regrown tables
+        for window in (None, 5):
+            small = Detector(prior, models, mix, window=window, capacity=16)
+            big = Detector(prior, models, mix, window=window, capacity=64)
+            for t in range(40):
+                f1 = small.step(obs[:, t])
+                f2 = big.step(obs[:, t])
+                np.testing.assert_allclose(f1.log_mix, f2.log_mix, rtol=1e-12)
+                np.testing.assert_allclose(f1.log_sup, f2.log_sup, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
