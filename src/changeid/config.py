@@ -6,6 +6,7 @@ which override defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -118,6 +119,16 @@ def _numbers(value, what: str) -> list:
     if not isinstance(value, list):
         raise TypeError(f"{what} must be a list of numbers, got {value!r}")
     return [_number(v, what) for v in value]
+
+
+def _log_a(value) -> list:
+    """An explicit log-threshold matrix: rows of config numbers, with null
+    allowed only on the own-stream entries (i, i)."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise ConfigError(f"log_a must be a list of rows, got {value!r}")
+    return [[math.nan if v is None and j == i + 1 else _number(v, "log_a")
+             for j, v in enumerate(row)]
+            for i, row in enumerate(value)]
 
 
 def load_config(path: str) -> RunConfig:
@@ -259,7 +270,7 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
 
     ``alpha`` + ``beta`` use per-stream calibration; ``alpha`` + ``beta_bar``
     use the total-false-alarm variant; an explicit ``log_a`` matrix is
-    passed through untouched.
+    read entry by entry.
     """
     t = cfg.targets
     n = cfg.n_streams
@@ -272,7 +283,7 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
         raise ConfigError("targets must provide beta, beta_bar, or log_a")
     try:
         if form == "log_a":
-            thresholds = ThresholdMatrix(log_a=t["log_a"])
+            thresholds = ThresholdMatrix(log_a=_log_a(t["log_a"]))
         elif form == "beta_bar":
             thresholds = calibrate_star(_number(t["alpha"], "alpha"),
                                         t["beta_bar"], n, head_mass=head)

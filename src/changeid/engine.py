@@ -20,11 +20,20 @@ and on demand the exact sup-over-grid statistic (denominator against
 stream j) and the ratio matrix against the no-change hypothesis and every
 competitor.
 
+One kernel, ``Detector.lookahead``, computes all of this for a block of m
+steps in a few numpy calls over (m, N, grid) arrays, so a step in a long
+block costs the arithmetic on its N x grid entries rather than the
+dispatch of a dozen numpy calls.  ``advance`` commits one looked-ahead
+step; a step that was not looked ahead is looked ahead as a block of one,
+so every statistic has one code path, bit for bit the same whatever the
+blocks.
+
 The head mass pi_{-1} is folded into k = 0 because both candidates share
 the same likelihood ratio.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -131,13 +140,21 @@ class StatisticFrame:
     log_ratio: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def own_entries(n_streams: int) -> np.ndarray:
+    """Read-only mask of the entries (i, i) of the (N, N+1) ratio layout."""
+    mask = np.eye(n_streams, n_streams + 1, k=1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def log_ratio_matrix(log_mix: np.ndarray, log_survivor: float,
                      log_sup: np.ndarray) -> np.ndarray:
     """The (N, N+1) ratio layout of ``StatisticFrame.log_ratio``: column 0
     is log_mix - log_survivor, column j is log_mix - log_sup[j-1], and the
     entries (i, i) of columns 1..N are NaN."""
     ratio = log_mix[:, None] - np.concatenate(([log_survivor], log_sup))
-    ratio[np.eye(log_mix.size, log_mix.size + 1, k=1, dtype=bool)] = np.nan
+    ratio[own_entries(log_mix.size)] = np.nan
     return ratio
 
 
@@ -151,10 +168,14 @@ def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
 class Detector:
     """Single-owner mutable detector state over N streams.
 
-    Observations are fed one time step at a time; ``step`` returns the full
-    exact StatisticFrame.  Cheap per-step accessors (``log_mix_values``,
-    ``sup_lower_bounds``) are exposed for callers that only need to decide
-    whether an exact frame is worth computing.
+    Observations are consumed one time step at a time by ``advance``;
+    ``step`` also returns the full exact StatisticFrame.  ``lookahead``
+    computes the statistics of a block of coming steps at once and returns
+    their mixture values, so a caller can screen the block before it
+    commits the steps.  Cheap per-step accessors (``log_mix_values``,
+    ``sup_lower_bounds``) describe the committed time n and are exposed for
+    callers that only need to decide whether an exact frame is worth
+    computing.
     """
 
     def __init__(self, prior: ChangePointPrior,
@@ -195,7 +216,7 @@ class Detector:
         # chunk length of the windowed scan; full mode is one endless chunk
         self._chunk = self.window or sys.maxsize
         # log-sum-exp of lp_k - cumz_k over this chunk's candidates so far,
-        # and over each suffix of the previous chunk; set by ``advance``
+        # and over each suffix of the previous chunk; set by ``lookahead``
         self._prefix = self._suffix = None
 
         # every model is a signal theta*S_t in AR(p) Gaussian noise (the
@@ -205,14 +226,18 @@ class Detector:
         self._ar = np.zeros((self.n_streams, order))
         for s, m in enumerate(self.models):
             self._ar[s, :len(m.ar_coeffs)] = m.ar_coeffs
-        # last ``order`` observations, newest first; zero before the first
-        # observation, as in ``whiten``
-        self._tail = np.zeros((self.n_streams, order))
+        # last ``order`` observations before the look-ahead frontier, oldest
+        # first; zero before the first observation, as in ``whiten``
+        self._history = np.zeros((self.n_streams, order))
         self._s2 = np.array([m.sigma ** 2 for m in self.models])
         self._sw, self._half_v = self._signal_tables(self._cap)
-        # mixture and screen bound at time n, set by ``advance``
-        self._mix = np.full(self.n_streams, -np.inf)
-        self._bound = np.full(self.n_streams, -np.inf)
+        # looked-ahead steps n0+1..n0+m: their observations (m lists of N
+        # floats, which ``advance`` compares cheaply), and the mixture and
+        # screen bound rows (m+1, N) whose row 0 is time n0
+        self._n0 = 0
+        self._ahead = []
+        self._mix = np.full((1, self.n_streams), -np.inf)
+        self._bound = np.full((1, self.n_streams), -np.inf)
 
     @property
     def _window_start(self) -> int:
@@ -250,43 +275,95 @@ class Detector:
         self._sw, self._half_v = self._signal_tables(new_cap)
         self._cap = new_cap
 
+    def lookahead(self, block) -> np.ndarray:
+        """Compute the statistics of the next m steps from an (N, m) block
+        of observations, without consuming them; ``advance`` then commits
+        them one at a time.  Returns ``log_mix_values`` for each looked-ahead
+        step, shape (m, N).
+
+        Every statistic is computed here, a block at a time: the increments
+        over the carried AR history, the rows of cumz by a cumulative sum,
+        and the windowed mixture by the chunked scan, one
+        ``np.logaddexp.accumulate`` per chunk segment of the block.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != self.n_streams:
+            raise EngineError(f"expected an observation block of {self.n_streams} rows")
+        if self.n < self._n0 + len(self._ahead):
+            raise EngineError("looked-ahead steps are still to be committed")
+        finite = np.isfinite(block).all(axis=0)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise EngineError(f"non-finite observation at step {self.n + t + 1}: "
+                              f"{block[:, t]}")
+        m = block.shape[1]
+        n0 = self.n
+        while n0 + m > self._cap:
+            self._grow()
+        # the coefficients of ``llr_coefficients`` for every step and stream;
+        # lags[i, s, j] is stream s's observation j + 1 steps before step i
+        order = self._history.shape[1]
+        hist = np.concatenate((self._history, block), axis=1)
+        lags = np.empty((m, self.n_streams, order))
+        for j in range(order):
+            lags[:, :, j] = hist[:, order - 1 - j:order - 1 - j + m].T
+        xt = block.T - (self._ar * lags).sum(axis=2)
+        u = self._sw[n0:n0 + m] * xt / self._s2
+        self._history = hist[:, m:]
+        inc = (u[:, :, None] * self._grid
+               - self._half_v[n0:n0 + m, :, None] * self._grid_sq)
+        cumz = self._cumz[n0:n0 + m + 1]
+        cumz[1:] = inc
+        np.add.accumulate(cumz, axis=0, out=cumz)
+        # candidate k = n joins the window [n + 1 - L, n] at step n + 1; its
+        # chunk starts at n - c (c = n mod L), and the rest of the window is
+        # the previous chunk's suffix from local index c + 1.  ``a`` turns
+        # into the prefix scan and then into the windowed mixture b
+        L = self._chunk
+        a = self._lp[n0:n0 + m, None, None] - self._cumz[n0:n0 + m]
+        i = 0
+        while i < m:
+            n = n0 + i
+            c = n % L
+            e = min(m, i + L - c)
+            seg = a[i:e]
+            if c > 0:
+                seg[0] = np.logaddexp(self._prefix, seg[0])
+            np.logaddexp.accumulate(seg, axis=0, out=seg)
+            self._prefix = seg[-1].copy()
+            r = min(e - i, L - 1 - c)
+            if n >= L and r > 0:
+                np.logaddexp(self._suffix[c + 1:c + 1 + r], seg[:r], out=seg[:r])
+            if (n0 + e) % L == 0:
+                k = slice(n0 + e - L, n0 + e)
+                rows = self._lp[k, None, None] - self._cumz[k]
+                self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
+            i = e
+        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
+        t1 = self._cumz[n0 + 1:n0 + m + 1] + a
+        mix = _lse(t1 + self._logw, axis=2)
+        # the last rows so far are those of the committed time n
+        self._mix = np.concatenate((self._mix[-1:], mix))
+        self._bound = np.concatenate((self._bound[-1:], t1.max(axis=2)))
+        self._ahead = block.T.tolist()
+        self._n0 = n0
+        return mix
+
     def advance(self, x) -> None:
-        """Consume one observation vector without building a frame."""
+        """Consume one observation vector without building a frame.
+
+        A looked-ahead step is committed as it is, and x must equal its
+        observation; otherwise x is looked ahead as a block of one."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_streams,):
             raise EngineError(f"expected observation vector of length {self.n_streams}")
-        if not np.isfinite(x).all():
-            raise EngineError(f"non-finite observation at step {self.n + 1}: {x}")
-        if self.n + 1 > self._cap:
-            self._grow()
-        n = self.n
-        # the coefficients of ``llr_coefficients``, one step for all streams
-        xt = x - (self._ar * self._tail).sum(axis=1)
-        u = self._sw[n] * xt / self._s2
-        self._tail[:, 1:] = self._tail[:, :-1]
-        self._tail[:, :1] = x[:, None]
-        inc = u[:, None] * self._grid - self._half_v[n][:, None] * self._grid_sq
-        self._cumz[n + 1] = self._cumz[n] + inc
-        self.n = n + 1
-        # candidate k = n joins the window [n + 1 - L, n]; its chunk starts
-        # at n - c, and the rest of the window is the previous chunk's
-        # suffix from local index c + 1
-        L = self._chunk
-        c = n % L
-        a = self._lp[n] - self._cumz[n]
-        self._prefix = a if c == 0 else np.logaddexp(self._prefix, a)
-        if n >= L and c + 1 < L:
-            b = np.logaddexp(self._suffix[c + 1], self._prefix)
-        else:
-            b = self._prefix
-        if c == L - 1:
-            k = slice(n + 1 - L, n + 1)
-            rows = self._lp[k, None, None] - self._cumz[k]
-            self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
-        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
-        t1 = self._cumz[self.n] + b
-        self._bound = t1.max(axis=1)
-        self._mix = _lse(t1 + self._logw, axis=1)
+        i = self.n - self._n0
+        if i == len(self._ahead):
+            self.lookahead(x[:, None])
+        elif x.tolist() != self._ahead[i]:
+            raise EngineError(f"observation at step {self.n + 1} differs from "
+                              f"the looked-ahead one: {x}")
+        self.n += 1
 
     def step(self, x) -> StatisticFrame:
         """Consume one observation vector and return the exact frame."""
@@ -298,7 +375,7 @@ class Detector:
     @property
     def log_mix_values(self) -> np.ndarray:
         """log Lambda^pi_{i,W}(n) for every stream, shape (N,)."""
-        return self._mix
+        return self._mix[self.n - self._n0]
 
     @property
     def sup_lower_bounds(self) -> np.ndarray:
@@ -306,7 +383,7 @@ class Detector:
         max_g log sum_k pi_k LR_{theta_g}(k, n) over the window.  Since
         max_g sum_k <= sum_k max_g, it is below ``log_sup_values``, and it
         is at least ``log_mix_values`` because the weights sum to 1."""
-        return self._bound
+        return self._bound[self.n - self._n0]
 
     @property
     def log_sup_values(self) -> np.ndarray:

@@ -76,7 +76,7 @@ class ARGaussianSignal:
     ``ARGaussianSignal(theta_min, theta_max, sigma)`` is the i.i.d. mean
     shift: N(0, sigma^2) pre-change, N(theta, sigma^2) post-change.  The
     engine reads ``sigma``, ``ar_coeffs`` and ``signal_values`` to compute
-    the increments of ``llr_coefficients`` one step at a time.
+    the increments of ``llr_coefficients`` a block of steps at a time.
     """
 
     theta_min: float

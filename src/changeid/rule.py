@@ -13,12 +13,19 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import Detector, MixingMeasure, StatisticFrame, log_ratio_matrix
+from .engine import (Detector, MixingMeasure, StatisticFrame, log_ratio_matrix,
+                     own_entries)
 from .models import ARGaussianSignal, TrialPath
 from .prior import ChangePointPrior
 
 __all__ = ["ThresholdMatrix", "Verdict", "CalibrationError",
            "calibrate", "calibrate_star", "check_stop", "run"]
+
+
+# look-ahead blocks of ``run``: the first block's steps, and the entries
+# (steps x streams x grid points) that later blocks may grow to
+_FIRST_BLOCK = 64
+_BLOCK_ENTRIES = 4096
 
 
 class CalibrationError(ValueError):
@@ -39,7 +46,7 @@ class ThresholdMatrix:
         if log_a.ndim != 2 or log_a.shape[1] != log_a.shape[0] + 1:
             raise CalibrationError(f"threshold matrix must be (N, N+1), got {log_a.shape}")
         n = log_a.shape[0]
-        off = ~np.eye(n, n + 1, k=1, dtype=bool)
+        off = ~own_entries(n)
         if not np.all(np.isfinite(log_a[off])):
             raise CalibrationError("all off-diagonal log thresholds must be finite")
 
@@ -138,9 +145,7 @@ class Verdict:
 def _met(log_ratio: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     """Per row of the (N, N+1) layout: does stream i beat every competitor
     threshold?  The (i, i) entries are skipped; a NaN ratio never passes."""
-    n = log_a.shape[0]
-    return np.all((log_ratio >= log_a) | np.eye(n, n + 1, k=1, dtype=bool),
-                  axis=1)
+    return ((log_ratio >= log_a) | own_entries(log_a.shape[0])).all(axis=1)
 
 
 def check_stop(frame: StatisticFrame, thresholds: ThresholdMatrix) -> Optional[Verdict]:
@@ -161,11 +166,14 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     """Feed a finite path through the detector and stop at the first time
     any stream's criterion is met.
 
-    The loop screens each step before computing the exact frame, which
-    never changes the verdict: the screen applies the same criterion to
-    ratios against cheap lower bounds on the competitor denominators, and
-    those ratios bound the exact ones from above, so a step the screen
-    rejects fails the exact criterion too.
+    The detector looks ahead in blocks that double from 64 steps up to
+    ``max(64, 4096 // (N * G))`` steps for a G-point grid, and each block's
+    no-change column is tested at once.  Every step is then committed with ``advance``; a
+    step that passes the no-change column is screened against the cheap
+    lower bounds on the competitor denominators, and only a step that
+    passes both gets an exact frame.  The screen never changes the verdict:
+    its ratios bound the exact ones from above, so a step it rejects fails
+    the exact criterion too.
     """
     obs = path.observations if isinstance(path, TrialPath) else np.asarray(path, dtype=float)
     n_streams, horizon = obs.shape
@@ -174,16 +182,33 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     det = Detector(prior, models, mixing, window=window,
                    capacity=max(horizon, 16))
     log_a = thresholds.log_a
-    for t in range(horizon):
-        det.advance(obs[:, t])
-        mix = det.log_mix_values
-        lsv = det.log_survivor
-        if not np.any(mix - lsv >= log_a[:, 0]):
-            continue
-        if not np.any(_met(log_ratio_matrix(mix, lsv, det.sup_lower_bounds),
-                           log_a)):
-            continue
-        verdict = check_stop(det.frame(), thresholds)
-        if verdict is not None:
-            return verdict
+    lsv = prior.log_survivor(np.arange(1, horizon + 1))
+    width = max(m.grid.size for m in det.mixing)
+    cap = max(_FIRST_BLOCK, _BLOCK_ENTRIES // (n_streams * width))
+    size = _FIRST_BLOCK
+    t = 0
+    while t < horizon:
+        block = obs[:, t:t + size]
+        # look ahead only up to a non-finite observation: ``advance`` raises
+        # at its step, after any earlier stop has won
+        finite = np.isfinite(block).all(axis=0)
+        if not finite.all():
+            block = block[:, :np.argmin(finite)]
+            if not block.shape[1]:
+                det.advance(obs[:, t])
+        mix = det.lookahead(block)
+        hits = np.any(mix - lsv[t:t + len(mix), None] >= log_a[:, 0],
+                      axis=1).tolist()
+        for hit in hits:
+            det.advance(obs[:, t])
+            t += 1
+            if not hit:
+                continue
+            if not _met(log_ratio_matrix(det.log_mix_values, lsv[t - 1],
+                                         det.sup_lower_bounds), log_a).any():
+                continue
+            verdict = check_stop(det.frame(), thresholds)
+            if verdict is not None:
+                return verdict
+        size = min(2 * size, cap)
     return Verdict(stopped=False, time=None, stream=None, horizon=horizon)

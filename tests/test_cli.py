@@ -122,6 +122,12 @@ class TestCalibrate:
                                   "theta_max": 2.0, "sigma": True}] * 2},
                      None, id="sigma_bool"),
         pytest.param({"theta_points": [True]}, None, id="theta_points_bool"),
+        pytest.param({"targets": {"log_a": [[True, None, 3.0],
+                                            [3.0, 3.0, None]]}},
+                     None, id="log_a_bool"),
+        pytest.param({"targets": {"log_a": [[3.0, None, None],
+                                            [3.0, 3.0, None]]}},
+                     None, id="log_a_null_off_diagonal"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, EngineError, MixingMeasure, SineSignal,
@@ -80,6 +81,29 @@ class TestOracleEquivalence:
                 signals=[values, None])
             np.testing.assert_allclose(frame.log_mix, o_mix, rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(frame.log_sup, o_sup, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_ar_order_two_matches_llr_increments(self, rng, window):
+        # the engine's carried AR history against the model's own whitening
+        prior = ChangePointPrior.geometric(0.1)
+        models = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.3),
+                                   signal=SineSignal(0.3, amplitude=2.0)),
+                  ARGaussianSignal(0.25, 2.0, sigma=1.5, ar_coeffs=(0.2,))]
+        mix = MixingMeasure.uniform(0.25, 2.0, 4)
+        obs = rng.standard_normal((2, 30))
+        cum = [np.vstack([np.zeros((1, 4)), np.cumsum(
+            m.llr_increments(obs[s], mix.grid), axis=0)])
+            for s, m in enumerate(models)]
+        lp = prior.log_pmf_head_merged(30)
+        det = Detector(prior, models, mix, window=window)
+        det.lookahead(obs[:, :11])
+        for n in range(1, 31):
+            det.advance(obs[:, n - 1])
+            lo = 0 if window is None else max(0, n - window)
+            want = [logsumexp(lp[lo:n, None] + mix.log_weights
+                              + c[n] - c[lo:n]) for c in cum]
+            np.testing.assert_allclose(det.log_mix_values, want,
+                                       rtol=1e-9, atol=1e-9)
 
     def test_per_stream_grids(self, rng):
         prior = ChangePointPrior.geometric(0.1)
@@ -177,6 +201,97 @@ class TestErrors:
         det = Detector(prior, models, mix)
         with pytest.raises(EngineError):
             det.advance([1.0])
+
+
+class TestLookahead:
+    """``lookahead`` computes the statistics that per-step ``advance`` has:
+    the kernel is the same for a block of any length."""
+
+    MODELS = [ARGaussianSignal(0.25, 2.0),
+              ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.2),
+                               signal=SineSignal(0.3, amplitude=3.0)),
+              ARGaussianSignal(0.25, 2.0, sigma=1.3, ar_coeffs=(0.4,))]
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 50])
+    @pytest.mark.parametrize("capacity", [16, 1024])
+    def test_blocks_match_per_step(self, window, capacity):
+        prior = ChangePointPrior.geometric(0.05, q=0.1)
+        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        rng = np.random.default_rng(3)
+        obs = rng.standard_normal((3, 90)) + 0.4
+        cuts = np.sort(rng.choice(np.arange(1, 90), size=9, replace=False))
+        one = Detector(prior, self.MODELS, mix, window=window, capacity=capacity)
+        blocks = Detector(prior, self.MODELS, mix, window=window,
+                          capacity=capacity)
+        bounds = [0, *cuts.tolist(), 90]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            ahead = blocks.lookahead(obs[:, lo:hi])
+            for t in range(lo, hi):
+                one.advance(obs[:, t])
+                blocks.advance(obs[:, t])
+                np.testing.assert_array_equal(blocks.log_mix_values, ahead[t - lo])
+                np.testing.assert_array_equal(blocks.log_mix_values,
+                                              one.log_mix_values)
+                np.testing.assert_array_equal(blocks.sup_lower_bounds,
+                                              one.sup_lower_bounds)
+                f1, f2 = one.frame(), blocks.frame()
+                for name in ("log_mix", "log_sup", "log_ratio"):
+                    np.testing.assert_array_equal(getattr(f1, name),
+                                                  getattr(f2, name))
+                assert f1.log_survivor == f2.log_survivor
+
+    def test_statistics_before_commit_are_the_committed_ones(self, rng):
+        prior, models, mix = make_setup()
+        det = Detector(prior, models, mix)
+        obs = rng.standard_normal((2, 6))
+        det.advance(obs[:, 0])
+        before = det.log_mix_values.copy(), det.sup_lower_bounds.copy()
+        det.lookahead(obs[:, 1:])
+        assert det.n == 1
+        np.testing.assert_array_equal(det.log_mix_values, before[0])
+        np.testing.assert_array_equal(det.sup_lower_bounds, before[1])
+
+    def test_advance_rejects_other_observation(self, rng):
+        prior, models, mix = make_setup()
+        det = Detector(prior, models, mix)
+        obs = rng.standard_normal((2, 5))
+        det.lookahead(obs)
+        det.advance(obs[:, 0])
+        with pytest.raises(EngineError, match="differs from the looked-ahead"):
+            det.advance(obs[:, 1] + 1e-9)
+        assert det.n == 1
+        det.advance(obs[:, 1])
+        assert det.n == 2
+
+    def test_lookahead_with_pending_steps_rejected(self, rng):
+        prior, models, mix = make_setup()
+        det = Detector(prior, models, mix)
+        obs = rng.standard_normal((2, 5))
+        det.lookahead(obs[:, :3])
+        det.advance(obs[:, 0])
+        with pytest.raises(EngineError, match="still to be committed"):
+            det.lookahead(obs[:, 3:])
+
+    def test_nan_inside_block_names_its_step(self, rng):
+        prior, models, mix = make_setup()
+        obs = rng.standard_normal((2, 8))
+        obs[1, 5] = np.nan
+        per_step = Detector(prior, models, mix)
+        for t in range(5):
+            per_step.advance(obs[:, t])
+        with pytest.raises(EngineError) as want:
+            per_step.advance(obs[:, 5])
+        det = Detector(prior, models, mix)
+        det.advance(obs[:, 0])
+        with pytest.raises(EngineError) as got:
+            det.lookahead(obs[:, 1:])
+        assert str(got.value) == str(want.value)
+        assert "non-finite observation at step 6" in str(got.value)
+        # nothing was looked ahead: the finite steps still go through
+        for t in range(1, 5):
+            det.advance(obs[:, t])
+        np.testing.assert_array_equal(det.log_mix_values,
+                                      per_step.log_mix_values)
 
 
 class TestCapacityGrowth:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from changeid import (ARGaussianSignal, CalibrationError, ChangePointPrior,
-                      Detector, MixingMeasure, SineSignal, StatisticFrame,
+                      ConstantSignal, Detector, MixingMeasure, SineSignal,
+                      StatisticFrame,
                       ThresholdMatrix, calibrate, calibrate_star, check_stop,
                       run, simulate)
 from conftest import oracle_verdict
@@ -195,3 +197,63 @@ class TestScreen:
                 assert (got.time, got.stream, got.met_streams) == \
                        (want.time, want.stream, want.met_streams)
         assert stops > 0
+
+
+def _draw_prior(data, kind):
+    if kind == "geometric":
+        return ChangePointPrior.geometric(
+            data.draw(st.floats(0.001, 0.05), label="rho"),
+            q=data.draw(st.sampled_from([0.0, 0.1]), label="q"))
+    if kind == "discrete_weibull":
+        return ChangePointPrior.discrete_weibull(
+            data.draw(st.floats(0.3, 1.0), label="kappa"),
+            data.draw(st.floats(20.0, 500.0), label="scale"))
+    # a support shorter than the horizon drives the survivor to zero
+    size = data.draw(st.integers(10, 800), label="support")
+    return ChangePointPrior.from_pmf(np.full(size, 1.0 / size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_run_matches_screen_free_loop_property(data):
+    """``run`` gives the verdict of an exact frame and ``check_stop`` at
+    every step.  The horizons cross at least three look-ahead blocks
+    (64 + 128 + 256 steps at most), and the screen-free detector starts at
+    capacity 16, so its tables grow along the way."""
+    n_streams = data.draw(st.integers(1, 4), label="N")
+    count = data.draw(st.integers(1, 16), label="G")
+    window = data.draw(st.one_of(st.none(), st.integers(1, 20)), label="window")
+    kind = data.draw(st.sampled_from(["geometric", "discrete_weibull",
+                                      "explicit_pmf"]), label="prior")
+    horizon = data.draw(st.integers(450, 600), label="horizon")
+    prior = _draw_prior(data, kind)
+    models = []
+    for _ in range(n_streams):
+        order = data.draw(st.integers(0, 2), label="AR order")
+        coeffs = tuple(data.draw(st.floats(-0.45, 0.45), label="AR coefficient")
+                       for _ in range(order))
+        signal = data.draw(st.sampled_from([
+            ConstantSignal(), SineSignal(omega=0.3, amplitude=3.0)]), label="signal")
+        models.append(ARGaussianSignal(0.25, 2.0, ar_coeffs=coeffs, signal=signal))
+    mix = MixingMeasure.uniform(0.25, 2.0, count, spacing="log")
+    alpha = data.draw(st.sampled_from([1e-4, 1e-2, 0.1]), label="alpha")
+    th = calibrate(alpha, alpha, n_streams=n_streams)
+    stream = data.draw(st.integers(0, n_streams), label="stream")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    path = simulate(models, horizon, rng, stream=stream,
+                    theta=0.5 if stream else 0.0,
+                    nu=data.draw(st.integers(0, horizon), label="nu") if stream else None)
+
+    det = Detector(prior, models, mix, window=window, capacity=16)
+    want = None
+    with np.errstate(invalid="ignore"):
+        for t in range(horizon):
+            want = check_stop(det.step(path.observations[:, t]), th)
+            if want is not None:
+                break
+        got = run(models, prior, mix, th, path, window=window)
+    if want is None:
+        assert got.censored and got.horizon == horizon
+    else:
+        assert (got.time, got.stream, got.met_streams) == \
+               (want.time, want.stream, want.met_streams)
