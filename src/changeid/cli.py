@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -102,8 +103,73 @@ def cmd_calibrate(args) -> int:
 
 
 def _read_data_csv(path: str, n_streams: int) -> np.ndarray:
+    """The observations of a data CSV as a C-contiguous (N, T) array.
+
+    A well-formed file is parsed in one ``np.loadtxt`` call.  Any other
+    file is walked row by row, which accepts every cell Python's
+    ``int``/``float`` accept and names the first bad row.
+    """
     try:
         with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # the walk decodes as it reads, so it still names a bad row that
+        # comes before the undecodable bytes
+        text = None
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file: {exc}")
+    obs = None if text is None else _load_table(text, n_streams)
+    if obs is None:
+        obs = _walk_rows(path, n_streams, text)
+    return np.ascontiguousarray(obs)
+
+
+def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
+    """The (N, T) observations when an ASCII file's body parses in one
+    ``np.loadtxt`` call and passes the walk's checks as a table; None for
+    any other file, which the walk then reads."""
+    # numpy decodes the bytes it is given as latin-1, which gives back the
+    # text only when the text is ASCII
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # with no lone "\r", every line ends at "\n", as it does for numpy, and
+    # the header is the first line
+    if raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    head, _, body = raw.partition(b"\n")
+    expected = ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
+    # a header with quotes fails this split and is left to the walk
+    if [h.strip() for h in head.decode().split(",")] != expected:
+        return None
+    # a first row that is missing or blank is one the walk rejects; numpy
+    # would warn on a body of blank lines
+    if not body or body.startswith((b"\r", b"\n")):
+        return None
+    dtype = np.dtype([("t", np.int64), ("x", np.float64, (n_streams,))])
+    try:
+        table = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",",
+                           comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        return None
+    # numpy skips blank lines, which the walk rejects, and a quoted line
+    # break joins two lines into one row: either leaves fewer rows than
+    # lines, so the time index cannot match the line numbers
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    if (not np.array_equal(table["t"], np.arange(1, lines + 1))
+            or not np.isfinite(table["x"]).all()):
+        return None
+    return table["x"].T
+
+
+def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
+    """The observations read one csv row at a time from ``text``, or from
+    the file when it did not decode; raises ConfigError at the first bad
+    row."""
+    try:
+        with (open(path, newline="") if text is None
+              else io.StringIO(text, newline="")) as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -4,11 +4,20 @@ The oracle recomputes every statistic from first principles: per-step log
 density ratios via scipy's normal logpdf, explicit products over all
 candidate change points k and grid parameters, and logsumexp reduction.
 It shares no code path with the incremental engine.
+
+``oracle_read_data_csv`` is the data-CSV reader that checks one row at a
+time with Python's ``int`` and ``float``; the CLI's table reader must give
+the same array or the same error on every file.
 """
+import csv
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
+
+from changeid.config import ConfigError
 
 
 def oracle_llr_table(x, grid, sigma=1.0, signal=None):
@@ -75,6 +84,41 @@ def oracle_verdict(obs, prior, grids, weights, log_a, sigma=1.0, window=None):
             if ok:
                 return n, i + 1
     return None, None
+
+
+def oracle_read_data_csv(path, n_streams):
+    """Observations (N, T) of a data CSV, read one csv row at a time."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ConfigError(f"data file {path} is empty")
+            expected = ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
+            if [h.strip() for h in header] != expected:
+                raise ConfigError(
+                    f"data header must be {','.join(expected)}, got {','.join(header)}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != n_streams + 1:
+                    raise ConfigError(f"row {lineno}: expected {n_streams + 1} cells")
+                try:
+                    t = int(row[0])
+                    vals = [float(c) for c in row[1:]]
+                except ValueError:
+                    raise ConfigError(f"row {lineno}: non-numeric cell")
+                if any(math.isnan(v) or math.isinf(v) for v in vals):
+                    raise ConfigError(f"row {lineno}: non-finite observation")
+                if t != lineno - 1:
+                    raise ConfigError(
+                        f"row {lineno}: time index must be {lineno - 1}, got {t}")
+                rows.append(vals)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file: {exc}")
+    if not rows:
+        raise ConfigError(f"data file {path} has a header but no rows")
+    return np.asarray(rows, dtype=float).T
 
 
 @pytest.fixture

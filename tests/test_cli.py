@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from changeid import ARGaussianSignal, simulate
+from changeid import ARGaussianSignal, cli, simulate
 from changeid.cli import main
+from changeid.config import ConfigError
+from conftest import oracle_read_data_csv
 
 
 BASE_CONFIG = {
@@ -192,6 +196,146 @@ class TestDetect:
         data = tmp_path / "bad.csv"
         data.write_text("time,a,b\n1,0.5,0.2\n")
         assert main(["detect", "--config", config_path(), str(data)]) == 2
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,0.5,0.2\n\n2,0.1,0.3\n", "row 3: expected 3 cells"),
+        ("1,0.5,0.2\n2,0.1,0.3\n\n", "row 4: expected 3 cells"),
+        ("1.0,0.5,0.2\n", "row 2: non-numeric cell"),
+        ("1,0.5,0.2\n3,0.1,0.3\n", "row 3: time index must be 2, got 3"),
+        ("1,0.5,0.2\n2,0.1,0.3,0.4\n", "row 3: expected 3 cells"),
+        ("1,0.5,0.2\n2,0.1\n", "row 3: expected 3 cells"),
+        ("1,0.5,0.2\n2,inf,0.3\n", "row 3: non-finite observation"),
+        ("1,0.5,1e400\n", "row 2: non-finite observation"),
+        ("1,nan,0.2\n2,0.1\n", "row 2: non-finite observation"),
+        ("", "has a header but no rows"),
+    ], ids=["blank_mid", "blank_end", "float_t", "t_gap", "extra_cell",
+            "short_row", "inf", "overflow", "first_bad_row_wins", "header_only"])
+    def test_bad_row_named_exit_2(self, config_path, tmp_path, capsys, body,
+                                  message):
+        data = tmp_path / "bad.csv"
+        data.write_text("t,stream_1,stream_2\n" + body)
+        assert main(["detect", "--config", config_path(), str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_cr_endings_and_quoted_cells_same_verdict(self, config_path,
+                                                      tmp_path, capsys):
+        data = self._fixture_path(tmp_path)
+        with open(data, newline="") as fh:
+            lines = fh.read().splitlines()
+        variant = tmp_path / "variant.csv"
+        variant.write_text("\r".join(lines[:1] + [
+            ",".join(f'"{c}"' if j == 1 else c
+                     for j, c in enumerate(line.split(",")))
+            for line in lines[1:]]) + "\r", newline="")
+        assert main(["detect", "--config", config_path(), data]) == 0
+        expected = capsys.readouterr().out
+        assert main(["detect", "--config", config_path(), str(variant)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def _read_outcome(read, path):
+    """What a data-CSV reader makes of a file: the array's shape, dtype and
+    bytes, or the type and message of its error."""
+    try:
+        obs = read(path, 2)
+    except (ConfigError, ValueError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("array", obs.shape, obs.dtype.str, obs.tobytes())
+
+
+_T_FORMS = [str, lambda k: f"{k}.0", lambda k: f"+{k}", lambda k: f" {k} ",
+            lambda k: str(k + 1), lambda k: str(k - 1), lambda k: str(-k),
+            lambda k: str(2 ** 63 + k), lambda k: f'"{k}"', lambda k: f"{k}_0",
+            lambda k: "".join(chr(0x660 + int(d)) for d in str(k))]
+_NONFINITE_FORMS = ["nan", "-inf", "inf", "1e400", "-1e400", '"nan"']
+_VALUE_FORMS = ["", "1_000", "\u0663.\u0665", " 0.5 ", "\xa00.5", '"0.5" ',
+                '"1,5"', '"0.5\n"', '"0.5\r\n"', "0x1", "1e-400"]
+
+
+@st.composite
+def data_csv_texts(draw):
+    """A two-stream data CSV: well-formed lines with a few defects drawn
+    from the grammar below, and one of the three line endings."""
+    values = draw(st.lists(st.tuples(*[st.floats(allow_nan=False,
+                                                 allow_infinity=False)] * 2),
+                           max_size=12))
+    lines = [["t", "stream_1", "stream_2"]] + [
+        [str(k), repr(a), repr(b)] for k, (a, b) in enumerate(values, 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["t", "nonfinite", "value", "quote",
+                                     "stray_cr", "blank", "short", "long",
+                                     "bom"]))
+        if kind == "bom":
+            lines[0][0] = "\ufeff" + lines[0][0]
+            continue
+        if kind == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), [])
+            continue
+        # the header is line 0: quotes and a stray "\r" may land in it
+        r = draw(st.integers(0, len(lines) - 1))
+        c = 0 if kind == "t" else draw(st.integers(
+            1 if kind in ("nonfinite", "value") else 0, 2))
+        if (r == 0 and kind not in ("quote", "stray_cr")) or c >= len(lines[r]):
+            continue
+        if kind == "t":
+            lines[r][0] = draw(st.sampled_from(_T_FORMS))(r)
+        elif kind == "nonfinite":
+            lines[r][c] = draw(st.sampled_from(_NONFINITE_FORMS))
+        elif kind == "value":
+            lines[r][c] = draw(st.sampled_from(_VALUE_FORMS))
+        elif kind == "quote":
+            lines[r][c] = f'"{lines[r][c]}"'
+        elif kind == "stray_cr":
+            lines[r][c] += "\r"
+        elif kind == "short":
+            lines[r] = lines[r][:-1]
+        else:
+            lines[r] = lines[r] + ["0.5"]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(line) for line in lines)
+    return text + eol if draw(st.booleans()) else text
+
+
+class TestDataIngest:
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=data_csv_texts())
+    def test_table_reader_matches_row_walk_property(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (_read_outcome(cli._read_data_csv, str(path))
+                == _read_outcome(oracle_read_data_csv, str(path)))
+
+    def test_valid_file_never_walked(self, tmp_path, monkeypatch):
+        obs = np.random.default_rng(8).standard_normal((2, 20_000))
+        path = tmp_path / "data.csv"
+        write_data_csv(path, obs)
+
+        def walk(*args):
+            raise AssertionError("a well-formed file was read row by row")
+
+        monkeypatch.setattr(cli, "_walk_rows", walk)
+        got = cli._read_data_csv(str(path), 2)
+        assert got.dtype == np.float64 and got.shape == (2, 20_000)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, obs)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_row_in_a_pipe_named(self, config_path, capsys):
+        # a pipe can be read only once, so the row walk reads what the
+        # table reader read
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(b"t,stream_1,stream_2\n1,0.5,0.2\n2,0.1\n")
+        try:
+            code = main(["detect", "--config", config_path(),
+                         f"/dev/fd/{read_end}"])
+        finally:
+            os.close(read_end)
+        assert code == 2
+        assert "row 3: expected 3 cells" in capsys.readouterr().err
 
 
 class TestSimulate:
