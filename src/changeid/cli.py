@@ -194,6 +194,9 @@ def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
                     raise ConfigError(
                         f"row {lineno}: time index must be {lineno - 1}, got {t}")
                 rows.append(vals)
+    except csv.Error as exc:
+        # a cell longer than csv.field_size_limit(), 131 072 characters
+        raise ConfigError(f"line {reader.line_num}: {exc}")
     except OSError as exc:
         raise ConfigError(f"cannot read data file: {exc}")
     if not rows:

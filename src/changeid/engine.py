@@ -210,9 +210,6 @@ class Detector:
         self._width = width
 
         self.n = 0
-        self._cap = max(int(capacity), 16)
-        self._cumz = np.zeros((self._cap + 1, self.n_streams, width))
-        self._lp = self.prior.log_pmf_head_merged(self._cap)
         # chunk length of the windowed scan; full mode is one endless chunk
         self._chunk = self.window or sys.maxsize
         # log-sum-exp of lp_k - cumz_k over this chunk's candidates so far,
@@ -230,7 +227,9 @@ class Detector:
         # first; zero before the first observation, as in ``whiten``
         self._history = np.zeros((self.n_streams, order))
         self._s2 = np.array([m.sigma ** 2 for m in self.models])
-        self._sw, self._half_v = self._signal_tables(self._cap)
+        self._cap = 0
+        self._cumz = np.zeros((1, self.n_streams, width))
+        self._grow(max(int(capacity), 16))
         # looked-ahead steps n0+1..n0+m: their observations (m lists of N
         # floats, which ``advance`` compares cheaply), and the mixture and
         # screen bound rows (m+1, N) whose row 0 is time n0
@@ -255,25 +254,20 @@ class Detector:
 
     # -- stepping --------------------------------------------------------
 
-    def _signal_tables(self, horizon: int):
-        """Whitened signal values and v/2 per step, each (horizon, N)."""
-        # filled and scaled in place: these tables are as long as the path
-        sw = np.empty((horizon, self.n_streams))
-        for s, m in enumerate(self.models):
-            sw[:, s] = whiten(m.signal_values(horizon), m.ar_coeffs)
-        half_v = sw * sw
-        half_v /= self._s2
-        half_v *= 0.5
-        return sw, half_v
-
-    def _grow(self) -> None:
-        new_cap = self._cap * 2
-        cumz = np.zeros((new_cap + 1, self.n_streams, self._width))
+    def _grow(self, cap: int) -> None:
+        """Size cumz, the merged prior log-pmf, the whitened signal values
+        and v/2 for ``cap`` steps, keeping the cumz rows so far."""
+        cumz = np.zeros((cap + 1, self.n_streams, self._width))
         cumz[: self._cap + 1] = self._cumz
         self._cumz = cumz
-        self._lp = self.prior.log_pmf_head_merged(new_cap)
-        self._sw, self._half_v = self._signal_tables(new_cap)
-        self._cap = new_cap
+        self._lp = self.prior.log_pmf_head_merged(cap)
+        signals = np.array([m.signal_values(cap) for m in self.models])
+        self._sw = whiten(signals, self._ar).T
+        # scaled in place: these tables are as long as the path
+        self._half_v = self._sw * self._sw
+        self._half_v /= self._s2
+        self._half_v *= 0.5
+        self._cap = cap
 
     def lookahead(self, block) -> np.ndarray:
         """Compute the statistics of the next m steps from an (N, m) block
@@ -299,15 +293,12 @@ class Detector:
         m = block.shape[1]
         n0 = self.n
         while n0 + m > self._cap:
-            self._grow()
+            self._grow(2 * self._cap)
         # the coefficients of ``llr_coefficients`` for every step and stream;
-        # lags[i, s, j] is stream s's observation j + 1 steps before step i
+        # the first ``order`` whitened values only re-read the history
         order = self._history.shape[1]
         hist = np.concatenate((self._history, block), axis=1)
-        lags = np.empty((m, self.n_streams, order))
-        for j in range(order):
-            lags[:, :, j] = hist[:, order - 1 - j:order - 1 - j + m].T
-        xt = block.T - (self._ar * lags).sum(axis=2)
+        xt = whiten(hist, self._ar)[:, order:].T
         u = self._sw[n0:n0 + m] * xt / self._s2
         self._history = hist[:, m:]
         inc = (u[:, :, None] * self._grid

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "whiten", "ConstantSignal", "SineSignal",
@@ -30,16 +29,22 @@ class ModelError(ValueError):
 
 
 def whiten(x: Sequence[float], coeffs: Sequence[float]) -> np.ndarray:
-    """Apply the AR whitening filter x~_n = x_n - sum_t c_t x_{n-t}.
+    """Apply the AR whitening filter x~_n = x_n - sum_t c_t x_{n-t} along the
+    last axis; leading axes broadcast, so an (N, T) array takes per-row
+    (N, p) coefficients.
 
     Indices before the start of the sequence are treated as zero, which
     makes the effective filter order min(n, p) at the head of the series.
+    The lag products are summed in lag order, c_1 x_{n-1} first, and the
+    sum is subtracted from x_n.
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size == 0:
-        return x.copy()
-    return lfilter(np.concatenate(([1.0], -coeffs)), [1.0], x)
+    # lags[..., n, t - 1] = x_{n-t}
+    lags = np.zeros(x.shape + coeffs.shape[-1:])
+    for t in range(1, coeffs.shape[-1] + 1):
+        lags[..., t:, t - 1] = x[..., :-t]
+    return x - (coeffs[..., None, :] * lags).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,8 @@ class ARGaussianSignal:
         w = self.sigma * rng.standard_normal(horizon + burn)
         if not self.ar_coeffs:
             return w[burn:]
+        # an IIR recursion, which numpy runs only as a Python loop over steps
+        from scipy.signal import lfilter
         xi = lfilter([1.0], np.concatenate(([1.0], -np.asarray(self.ar_coeffs))), w)
         return xi[burn:]
 

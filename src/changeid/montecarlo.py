@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import beta as beta_dist, norm as norm_dist
+from scipy.special import betaincinv, ndtri
 
 from .engine import MixingMeasure
 from .models import ARGaussianSignal, simulate
@@ -147,7 +147,7 @@ def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
         raise MonteCarloError("need at least one trial for a proportion CI")
     if k >= n:
         return 1.0
-    return float(beta_dist.ppf(confidence, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, confidence))
 
 
 def _fsum(values) -> float:
@@ -173,7 +173,7 @@ def estimate_pfa(outcomes: Sequence[TrialOutcome], prior: ChangePointPrior,
         raise MonteCarloError("no completed trials")
     n_censored = sum(1 for o in outcomes if not o.stopped)
     censor_term = prior.survivor(horizon + 1) * n_censored / n
-    z = float(norm_dist.ppf(confidence))
+    z = float(ndtri(confidence))
     rows = []
     for i in range(1, n_streams + 1):
         weights = [prior.survivor(o.time) if (o.stopped and o.stream == i) else 0.0
@@ -246,7 +246,7 @@ def estimate_delay(outcomes: Sequence[TrialOutcome], stream: int, r: int = 1,
     m = len(vals)
     mean = _fsum(vals) / m
     var = _fsum((v - mean) ** 2 for v in vals) / max(m - 1, 1)
-    half = float(norm_dist.ppf(0.5 + confidence / 2.0)) * math.sqrt(var / m)
+    half = float(ndtri(0.5 + confidence / 2.0)) * math.sqrt(var / m)
     return {
         "stream": stream,
         "r": r,

@@ -27,11 +27,9 @@ class PriorError(ValueError):
 
 @dataclass(frozen=True)
 class TailExponent:
-    """Exponential decay rate of the right tail (mu); estimated=True when
-    obtained by regression on a truncated table rather than closed form."""
+    """Exponential decay rate of the right tail (mu)."""
 
     mu: float
-    estimated: bool = False
 
 
 class ChangePointPrior:
@@ -205,17 +203,17 @@ class ChangePointPrior:
     def tail_exponent(self) -> TailExponent:
         """Decay rate mu = lim |log P(nu >= n)| / n (estimated for tables)."""
         if self.kind == self.GEOMETRIC:
-            return TailExponent(mu=-math.log1p(-self.rho), estimated=False)
+            return TailExponent(mu=-math.log1p(-self.rho))
         if self.kind == self.DISCRETE_WEIBULL:
             if self.kappa < 1.0:
-                return TailExponent(mu=0.0, estimated=False)
-            return TailExponent(mu=1.0 / self.scale, estimated=False)
+                return TailExponent(mu=0.0)
+            return TailExponent(mu=1.0 / self.scale)
         horizon = self._probs.size
         lo, hi = max(1, horizon // 2), max(2, int(horizon * 0.9))
         n = np.arange(lo, hi)
         ls = self.log_survivor(n)
         ok = np.isfinite(ls)
         if ok.sum() < 2:
-            return TailExponent(mu=0.0, estimated=True)
+            return TailExponent(mu=0.0)
         slope = np.polyfit(n[ok], -ls[ok], 1)[0]
-        return TailExponent(mu=max(slope, 0.0), estimated=True)
+        return TailExponent(mu=max(slope, 0.0))

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +193,16 @@ class TestDetect:
         data.write_text("t,stream_1,stream_2\n1,0.5,nan\n")
         assert main(["detect", "--config", config_path(), str(data)]) == 2
         assert "row 2" in capsys.readouterr().err
+
+    def test_over_long_cell_in_bad_file_exit_2(self, config_path, tmp_path,
+                                               capsys):
+        # the walk's csv reader rejects a cell longer than its field size
+        # limit, 131 072 characters; the error names the cell's line
+        data = tmp_path / "bad.csv"
+        data.write_text("t,stream_1,stream_2\n1," + " " * 200_000
+                        + "0.5,0.1\n2,nan,0.1\n")
+        assert main(["detect", "--config", config_path(), str(data)]) == 2
+        assert "error: line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_wrong_header_exit_2(self, config_path, tmp_path):
         data = tmp_path / "bad.csv"
@@ -403,3 +415,35 @@ class TestReport:
             "(budget 0.01)"]}))
         assert main(["report", str(path)]) == 3
         assert "FLAG: censor budget exceeded" in capsys.readouterr().out
+
+
+class TestImportFootprint:
+    """scipy.signal, which imports scipy.stats, loads only to simulate AR
+    noise: neither importing the package nor ``detect`` on AR streams
+    loads either module."""
+
+    GUARD = ("import sys\n{code}\n"
+             "loaded = sorted(m for m in sys.modules\n"
+             "                if m.startswith(('scipy.signal', 'scipy.stats')))\n"
+             "assert not loaded, loaded\n")
+
+    def _run(self, code):
+        import changeid
+        src = os.path.dirname(os.path.dirname(changeid.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", self.GUARD.format(code=code)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_import_loads_neither(self):
+        self._run("import changeid")
+
+    def test_detect_on_ar_streams_loads_neither(self, config_path, tmp_path):
+        models = [{"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0,
+                   "ar_coeffs": [0.5]}] * 2
+        cfg = config_path({"models": models})
+        obs = np.random.default_rng(5).standard_normal((2, 300)) + 0.8
+        data = tmp_path / "data.csv"
+        write_data_csv(data, obs)
+        self._run("from changeid import cli\n"
+                  f"assert cli.main(['detect', '--config', {cfg!r}, {str(data)!r}]) == 0")

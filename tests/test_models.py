@@ -28,6 +28,28 @@ class TestWhiten:
                               for lag, c in enumerate(coeffs) if t - lag - 1 >= 0)
         np.testing.assert_allclose(whiten(x, coeffs), w, atol=1e-10)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_matches_lfilter_exactly(self, rng, order):
+        # up to order 2 the lag products sum in scipy's order too
+        from scipy.signal import lfilter
+        coeffs = rng.uniform(-0.6, 0.6, (3, order))
+        x = rng.standard_normal((3, 500)) * 10.0
+        want = np.array([lfilter(np.concatenate(([1.0], -c)), [1.0], row)
+                         for c, row in zip(coeffs, x)])
+        for s in range(3):
+            assert np.array_equal(whiten(x[s], coeffs[s]), want[s])
+        assert np.array_equal(whiten(x, coeffs), want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_block_after_history_matches_whole_series(self, rng, order):
+        # the engine whitens each block behind the last p observations
+        coeffs = rng.uniform(-0.3, 0.3, (2, order))
+        x = rng.standard_normal((2, 200))
+        whole = whiten(x, coeffs)
+        for cut in (order, 17, 150):
+            block = whiten(x[:, cut - order:], coeffs)[:, order:]
+            assert np.array_equal(block, whole[:, cut:])
+
 
 class TestMeanShiftDefaults:
     # the default ARGaussianSignal (AR order 0, unit signal) is the i.i.d.

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import beta as beta_dist
+from scipy.stats import beta as beta_dist, norm as norm_dist
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       MixingMeasure, MonteCarloError, RiskReport,
@@ -44,6 +44,34 @@ class TestClopperPearson:
     def test_empty_sample_rejected(self):
         with pytest.raises(MonteCarloError):
             clopper_pearson_upper(0, 0)
+
+
+class TestQuantilesMatchScipyStats:
+    """The intervals call scipy.special directly; scipy.stats is the
+    reference for the quantiles they take."""
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_clopper_pearson_grid(self, confidence):
+        for n in (1, 2, 3, 7, 25, 59, 100, 400, 1000, 10_000):
+            for k in {0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n)):
+                assert clopper_pearson_upper(k, n, confidence) == float(
+                    beta_dist.ppf(confidence, k + 1, n - k))
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_normal_limits(self, confidence):
+        prior = ChangePointPrior.geometric(0.1)
+        times = [40 + (i % 7) for i in range(60)]
+        outs = [outcome(i, time=t) for i, t in enumerate(times)]
+        weights = [prior.survivor(t) for t in times]
+        point = math.fsum(weights) / 60
+        var = math.fsum((w - point) ** 2 for w in weights) / 59
+        upper = estimate_pfa(outs, prior, 1, confidence, horizon=100)[0]["upper"]
+        assert upper == point + float(norm_dist.ppf(confidence)) * math.sqrt(var / 60)
+        mean = math.fsum(times) / 60
+        var = math.fsum((t - mean) ** 2 for t in times) / 59
+        half = float(norm_dist.ppf(0.5 + confidence / 2.0)) * math.sqrt(var / 60)
+        row = estimate_delay(outs, 1, confidence=confidence)
+        assert (row["lower"], row["upper"]) == (mean - half, mean + half)
 
 
 class TestEstimatePfa:

@@ -22,7 +22,6 @@ class TestGeometric:
     def test_tail_exponent(self):
         mu = ChangePointPrior.geometric(0.1).tail_exponent()
         assert mu.mu == pytest.approx(-math.log(0.9), rel=1e-12)
-        assert not mu.estimated
 
     def test_invalid_rho(self):
         with pytest.raises(PriorError):
@@ -81,7 +80,6 @@ class TestExplicitPmf:
         rho = 0.1
         probs = rho * (1 - rho) ** np.arange(2000)
         te = ChangePointPrior.from_pmf(probs).tail_exponent()
-        assert te.estimated
         assert te.mu == pytest.approx(-math.log1p(-rho), rel=1e-3)
 
     def test_negative_entries_rejected(self):
