@@ -38,6 +38,10 @@ EXIT_USAGE = 2
 EXIT_CENSORED = 3
 EXIT_BOUND_FAIL = 4
 
+# the walk's csv field size limit: a cell of any length that fits in
+# memory, and a value every platform's C long holds
+_FIELD_LIMIT = 2 ** 31 - 1
+
 
 def _load(args):
     """Config with flag overrides applied, and the objects built from it:
@@ -166,7 +170,10 @@ def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
 def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
     """The observations read one csv row at a time from ``text``, or from
     the file when it did not decode; raises ConfigError at the first bad
-    row."""
+    row.  Like ``np.loadtxt``, the walk takes a cell of any length, so a
+    file reads the same whatever its line endings."""
+    # the field size limit is process-wide: raised for this read only
+    limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
         with (open(path, newline="") if text is None
               else io.StringIO(text, newline="")) as fh:
@@ -195,10 +202,12 @@ def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
                         f"row {lineno}: time index must be {lineno - 1}, got {t}")
                 rows.append(vals)
     except csv.Error as exc:
-        # a cell longer than csv.field_size_limit(), 131 072 characters
+        # a cell longer than _FIELD_LIMIT characters
         raise ConfigError(f"line {reader.line_num}: {exc}")
     except OSError as exc:
         raise ConfigError(f"cannot read data file: {exc}")
+    finally:
+        csv.field_size_limit(limit)
     if not rows:
         raise ConfigError(f"data file {path} has a header but no rows")
     return np.asarray(rows, dtype=float).T

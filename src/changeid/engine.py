@@ -37,7 +37,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -148,13 +148,22 @@ def own_entries(n_streams: int) -> np.ndarray:
     return mask
 
 
-def log_ratio_matrix(log_mix: np.ndarray, log_survivor: float,
+def log_ratio_matrix(log_mix: np.ndarray,
+                     log_survivor: Union[float, np.ndarray],
                      log_sup: np.ndarray) -> np.ndarray:
     """The (N, N+1) ratio layout of ``StatisticFrame.log_ratio``: column 0
     is log_mix - log_survivor, column j is log_mix - log_sup[j-1], and the
-    entries (i, i) of columns 1..N are NaN."""
-    ratio = log_mix[:, None] - np.concatenate(([log_survivor], log_sup))
-    ratio[own_entries(log_mix.size)] = np.nan
+    entries (i, i) of columns 1..N are NaN.
+
+    Leading axes broadcast: (m, N) rows of ``log_mix`` and ``log_sup`` with
+    m survivor values give the m layouts of a block of steps, shape
+    (m, N, N+1), each entry the same subtraction as for one step."""
+    n = log_mix.shape[-1]
+    den = np.empty(log_sup.shape[:-1] + (n + 1,))
+    den[..., 0] = log_survivor
+    den[..., 1:] = log_sup
+    ratio = log_mix[..., :, None] - den[..., None, :]
+    ratio[..., own_entries(n)] = np.nan
     return ratio
 
 
@@ -171,11 +180,11 @@ class Detector:
     Observations are consumed one time step at a time by ``advance``;
     ``step`` also returns the full exact StatisticFrame.  ``lookahead``
     computes the statistics of a block of coming steps at once and returns
-    their mixture values, so a caller can screen the block before it
-    commits the steps.  Cheap per-step accessors (``log_mix_values``,
-    ``sup_lower_bounds``) describe the committed time n and are exposed for
-    callers that only need to decide whether an exact frame is worth
-    computing.
+    their mixture values and screen bounds, so a caller can screen the
+    block before it commits the steps.  Cheap per-step accessors
+    (``log_mix_values``, ``sup_lower_bounds``) describe the committed time
+    n and are exposed for callers that only need to decide whether an
+    exact frame is worth computing.
     """
 
     def __init__(self, prior: ChangePointPrior,
@@ -269,11 +278,11 @@ class Detector:
         self._half_v *= 0.5
         self._cap = cap
 
-    def lookahead(self, block) -> np.ndarray:
+    def lookahead(self, block) -> Tuple[np.ndarray, np.ndarray]:
         """Compute the statistics of the next m steps from an (N, m) block
         of observations, without consuming them; ``advance`` then commits
-        them one at a time.  Returns ``log_mix_values`` for each looked-ahead
-        step, shape (m, N).
+        them one at a time.  Returns the rows of ``log_mix_values`` and of
+        ``sup_lower_bounds`` for the looked-ahead steps, each shape (m, N).
 
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
@@ -333,12 +342,13 @@ class Detector:
         # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
         t1 = self._cumz[n0 + 1:n0 + m + 1] + a
         mix = _lse(t1 + self._logw, axis=2)
+        bound = t1.max(axis=2)
         # the last rows so far are those of the committed time n
         self._mix = np.concatenate((self._mix[-1:], mix))
-        self._bound = np.concatenate((self._bound[-1:], t1.max(axis=2)))
+        self._bound = np.concatenate((self._bound[-1:], bound))
         self._ahead = block.T.tolist()
         self._n0 = n0
-        return mix
+        return mix, bound
 
     def advance(self, x) -> None:
         """Consume one observation vector without building a frame.

@@ -12,6 +12,7 @@ depending only on the observations.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -134,6 +135,12 @@ class ARGaussianSignal:
 
     def whitened_energy(self) -> float:
         """Cesaro limit Q of the mean squared whitened signal."""
+        return self._energy
+
+    @functools.cached_property
+    def _energy(self) -> float:
+        # computed once per model: a non-constant signal whitens
+        # _ENERGY_WINDOW samples, and every information number reads Q
         if isinstance(self.signal, ConstantSignal):
             return (self.signal.amplitude * (1.0 - sum(self.ar_coeffs))) ** 2
         st = whiten(self.signal_values(_ENERGY_WINDOW), self.ar_coeffs)

@@ -23,12 +23,10 @@ import io
 import json
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
 
 from .engine import MixingMeasure
 from .models import ARGaussianSignal, simulate
@@ -108,6 +106,9 @@ def _run_batch(plan: ExperimentPlan, models, prior, mixing, thresholds,
              for t in range(plan.n_trials)]
     if plan.threads <= 1:
         return [_run_one(task) for task in tasks]
+    # imported where used, like scipy.special below, so that importing
+    # the package and ``detect`` load neither
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=plan.threads) as pool:
         # executor.map preserves task order, so the reduction below sees
         # trials in index order no matter how they were scheduled
@@ -147,6 +148,7 @@ def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
         raise MonteCarloError("need at least one trial for a proportion CI")
     if k >= n:
         return 1.0
+    from scipy.special import betaincinv
     return float(betaincinv(k + 1, n - k, confidence))
 
 
@@ -173,6 +175,7 @@ def estimate_pfa(outcomes: Sequence[TrialOutcome], prior: ChangePointPrior,
         raise MonteCarloError("no completed trials")
     n_censored = sum(1 for o in outcomes if not o.stopped)
     censor_term = prior.survivor(horizon + 1) * n_censored / n
+    from scipy.special import ndtri
     z = float(ndtri(confidence))
     rows = []
     for i in range(1, n_streams + 1):
@@ -246,6 +249,7 @@ def estimate_delay(outcomes: Sequence[TrialOutcome], stream: int, r: int = 1,
     m = len(vals)
     mean = _fsum(vals) / m
     var = _fsum((v - mean) ** 2 for v in vals) / max(m - 1, 1)
+    from scipy.special import ndtri
     half = float(ndtri(0.5 + confidence / 2.0)) * math.sqrt(var / m)
     return {
         "stream": stream,

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from changeid import ARGaussianSignal, cli, simulate
+from changeid import models as models_module
 from changeid.cli import main
 from changeid.config import ConfigError
 from conftest import oracle_read_data_csv
@@ -69,6 +70,24 @@ class TestCalibrate:
         assert main(["calibrate", "--config", path2]) == 0
         again = json.loads(capsys.readouterr().out)["log_thresholds"]
         assert again == emitted
+
+    def test_theory_tables_whiten_once_per_model(self, config_path,
+                                                 monkeypatch, capsys):
+        # Q of a sine signal is a mean over 100 000 whitened samples; the
+        # delay scales read it for every theta, stream pair and grid point
+        model = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0,
+                 "ar_coeffs": [0.5],
+                 "signal": {"kind": "sine", "omega": 0.3, "amplitude": 3.0}}
+        path = config_path({"models": [model] * 3,
+                            "theta_points": [0.5, 1.0, 1.5]})
+        calls = []
+        whiten = models_module.whiten
+        monkeypatch.setattr(models_module, "whiten",
+                            lambda *args: calls.append(1) or whiten(*args))
+        assert main(["calibrate", "--config", path]) == 0
+        scales = json.loads(capsys.readouterr().out)["psi_delay_scale"]
+        assert len(scales) == 3 and all(None not in v for v in scales.values())
+        assert len(calls) == 3
 
     def test_invalid_targets_exit_2(self, config_path, capsys):
         path = config_path({"targets": {"alpha": 2.0, "beta": 0.05}})
@@ -196,13 +215,13 @@ class TestDetect:
 
     def test_over_long_cell_in_bad_file_exit_2(self, config_path, tmp_path,
                                                capsys):
-        # the walk's csv reader rejects a cell longer than its field size
-        # limit, 131 072 characters; the error names the cell's line
+        # the walk reads past a cell longer than csv's default field size
+        # limit, 131 072 characters, and names the bad row after it
         data = tmp_path / "bad.csv"
         data.write_text("t,stream_1,stream_2\n1," + " " * 200_000
                         + "0.5,0.1\n2,nan,0.1\n")
         assert main(["detect", "--config", config_path(), str(data)]) == 2
-        assert "error: line 2: field larger than field limit" in capsys.readouterr().err
+        assert "error: row 3: non-finite observation" in capsys.readouterr().err
 
     def test_wrong_header_exit_2(self, config_path, tmp_path):
         data = tmp_path / "bad.csv"
@@ -334,6 +353,21 @@ class TestDataIngest:
         assert got.flags.c_contiguous
         assert np.array_equal(got, obs)
 
+    def test_long_cell_read_alike_for_every_line_ending(self, tmp_path):
+        # with "\r" endings the table reader leaves the file to the walk,
+        # which then takes the cell past csv's default field size limit
+        limit = csv.field_size_limit()
+        got = []
+        for eol in ("\n", "\r\n", "\r"):
+            path = tmp_path / "data.csv"
+            path.write_text(eol.join(["t,stream_1,stream_2",
+                                      "1," + " " * 200_000 + "0.5,0.1",
+                                      "2,0.2,0.3", ""]), newline="")
+            got.append(cli._read_data_csv(str(path), 2))
+        for obs in got:
+            np.testing.assert_array_equal(obs, [[0.5, 0.2], [0.1, 0.3]])
+        assert csv.field_size_limit() == limit
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_bad_row_in_a_pipe_named(self, config_path, capsys):
         # a pipe can be read only once, so the row walk reads what the
@@ -418,13 +452,15 @@ class TestReport:
 
 
 class TestImportFootprint:
-    """scipy.signal, which imports scipy.stats, loads only to simulate AR
-    noise: neither importing the package nor ``detect`` on AR streams
-    loads either module."""
+    """scipy loads only to simulate AR noise and to take the Monte Carlo
+    quantiles, and the process pool only for a campaign on several
+    workers: neither importing the package nor ``detect`` on AR streams
+    loads any scipy module or the pool."""
 
     GUARD = ("import sys\n{code}\n"
              "loaded = sorted(m for m in sys.modules\n"
-             "                if m.startswith(('scipy.signal', 'scipy.stats')))\n"
+             "                if m == 'scipy' or m.startswith('scipy.')\n"
+             "                or m.startswith('concurrent.futures.process'))\n"
              "assert not loaded, loaded\n")
 
     def _run(self, code):

@@ -225,11 +225,13 @@ class TestLookahead:
                           capacity=capacity)
         bounds = [0, *cuts.tolist(), 90]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            ahead = blocks.lookahead(obs[:, lo:hi])
+            mix, bound = blocks.lookahead(obs[:, lo:hi])
             for t in range(lo, hi):
                 one.advance(obs[:, t])
                 blocks.advance(obs[:, t])
-                np.testing.assert_array_equal(blocks.log_mix_values, ahead[t - lo])
+                np.testing.assert_array_equal(blocks.log_mix_values, mix[t - lo])
+                np.testing.assert_array_equal(blocks.sup_lower_bounds,
+                                              bound[t - lo])
                 np.testing.assert_array_equal(blocks.log_mix_values,
                                               one.log_mix_values)
                 np.testing.assert_array_equal(blocks.sup_lower_bounds,

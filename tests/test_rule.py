@@ -9,6 +9,8 @@ from changeid import (ARGaussianSignal, CalibrationError, ChangePointPrior,
                       StatisticFrame,
                       ThresholdMatrix, calibrate, calibrate_star, check_stop,
                       run, simulate)
+from changeid.engine import log_ratio_matrix
+from changeid.rule import _met
 from conftest import oracle_verdict
 
 
@@ -197,6 +199,49 @@ class TestScreen:
                 assert (got.time, got.stream, got.met_streams) == \
                        (want.time, want.stream, want.met_streams)
         assert stops > 0
+
+
+class TestBlockScreen:
+    """``run`` screens a block of steps with the functions that test one
+    step; a block's rows are the per-step answers."""
+
+    @staticmethod
+    def _rows(rng, shape, holes):
+        x = rng.normal(0.0, 3.0, shape)
+        x[rng.random(shape) < holes] = -np.inf
+        x[rng.random(shape) < holes / 2] = np.nan
+        return x
+
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
+    def test_rows_match_per_step(self, n_streams):
+        rng = np.random.default_rng(40 + n_streams)
+        log_a = calibrate(0.2, 0.2, n_streams=n_streams).log_a
+        for holes in (0.0, 0.2, 0.6):
+            m = 50
+            mix = self._rows(rng, (m, n_streams), holes)
+            bound = self._rows(rng, (m, n_streams), holes)
+            lsv = self._rows(rng, m, holes)
+            with np.errstate(invalid="ignore"):
+                ratio = log_ratio_matrix(mix, lsv, bound)
+                met = _met(ratio, log_a)
+                assert ratio.shape == (m, n_streams, n_streams + 1)
+                assert met.shape == (m, n_streams)
+                for s in range(m):
+                    one = log_ratio_matrix(mix[s], lsv[s], bound[s])
+                    np.testing.assert_array_equal(ratio[s], one)
+                    np.testing.assert_array_equal(met[s], _met(one, log_a))
+
+    @pytest.mark.filterwarnings("error")
+    def test_prior_without_mass_in_window_warns_nothing(self):
+        # past the support of a 10-point prior, a 5-step window holds no
+        # prior mass: mixture, bound and survivor are all -inf
+        prior = ChangePointPrior.from_pmf(np.full(10, 0.1))
+        models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
+        mix = MixingMeasure.uniform(0.25, 2.0, 4, spacing="log")
+        th = calibrate(0.1, 0.1, n_streams=2)
+        for seed in range(6):
+            path = simulate(models, 200, np.random.default_rng(seed))
+            run(models, prior, mix, th, path, window=5)
 
 
 def _draw_prior(data, kind):
