@@ -88,10 +88,9 @@ def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
             for j in range(1, cfg.n_streams + 1):
                 if j == i:
                     continue
-                on_grid, _ = info_number_pair_inf(models[i - 1], theta,
-                                                  models[j - 1],
-                                                  grid_j=mixing.grid)
-                pair_inf[j] = on_grid
+                pair_inf[j] = info_number_pair_inf(models[i - 1], theta,
+                                                   models[j - 1],
+                                                   grid_j=mixing.grid)
             psis.append(theory.psi_threshold(thresholds, i, info, pair_inf, mu))
         tables["psi_delay_scale"][repr(float(theta))] = psis
     return tables

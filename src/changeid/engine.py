@@ -28,6 +28,13 @@ step; a step that was not looked ahead is looked ahead as a block of one,
 so every statistic has one code path, bit for bit the same whatever the
 blocks.
 
+The tables that depend only on the config (the padded grids and weights,
+the AR filters, the prior's log-pmf and log-survivor, the whitened signal
+and v/2) are built once and shared, read-only, by every detector with the
+same prior, model and mixing objects and the same capacity: a Monte Carlo
+campaign builds them once, not once per trial.  They are dropped with the
+prior object.
+
 The head mass pi_{-1} is folded into k = 0 because both candidates share
 the same likelihood ratio.
 """
@@ -36,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -167,6 +175,93 @@ def log_ratio_matrix(log_mix: np.ndarray,
     return ratio
 
 
+@dataclass(frozen=True)
+class ConfigTables:
+    """The detector's tables that depend only on the config and on the
+    capacity ``cap``, every array read-only.
+
+    The N grids are padded to a common width G with zero-weight copies of
+    their last point, which change neither the mixture nor the sup; the AR
+    filters are zero-padded to the longest one.  ``lp`` is the merged
+    prior log-pmf of k = 0..cap-1, ``log_survivor`` is log P(nu >= n) for
+    n = 1..cap, ``sw`` the whitened signal values and ``half_v`` is
+    sw^2 / (2 sigma^2), each (cap, N).
+    """
+
+    models: tuple
+    mixing: tuple
+    grid: np.ndarray          # (N, G)
+    logw: np.ndarray          # (N, G)
+    grid_sq: np.ndarray       # (N, G)
+    ar: np.ndarray            # (N, order)
+    s2: np.ndarray            # (N,)
+    lp: np.ndarray            # (cap,)
+    log_survivor: np.ndarray  # (cap,)
+    sw: np.ndarray            # (cap, N)
+    half_v: np.ndarray        # (cap, N)
+
+    @property
+    def cap(self) -> int:
+        return self.lp.size
+
+
+def _build_tables(prior: ChangePointPrior, models, mixing,
+                  cap: int) -> ConfigTables:
+    n_streams = len(models)
+    width = max(m.grid.size for m in mixing)
+    grid = np.empty((n_streams, width))
+    logw = np.full((n_streams, width), -np.inf)
+    for s, m in enumerate(mixing):
+        g = m.grid.size
+        grid[s, :g] = m.grid
+        grid[s, g:] = m.grid[-1]
+        logw[s, :g] = m.log_weights
+    # every model is a signal theta*S_t in AR(p) Gaussian noise (the i.i.d.
+    # mean shift is order 0 with S_t = 1)
+    ar = np.zeros((n_streams, max(len(m.ar_coeffs) for m in models)))
+    for s, m in enumerate(models):
+        ar[s, :len(m.ar_coeffs)] = m.ar_coeffs
+    s2 = np.array([m.sigma ** 2 for m in models])
+    signals = np.array([m.signal_values(cap) for m in models])
+    sw = whiten(signals, ar).T
+    # scaled in place before it is shared: it is as long as the path
+    half_v = sw * sw
+    half_v /= s2
+    half_v *= 0.5
+    tables = ConfigTables(
+        models=tuple(models), mixing=tuple(mixing), grid=grid, logw=logw,
+        grid_sq=grid ** 2, ar=ar, s2=s2, lp=prior.log_pmf_head_merged(cap),
+        log_survivor=prior.log_survivor(np.arange(1, cap + 1)), sw=sw,
+        half_v=half_v)
+    for a in vars(tables).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return tables
+
+
+# one entry per prior, dropped with it: the trials of a campaign share one
+# prior object, so its tables live as long as the campaign's config does
+_SHARED = weakref.WeakKeyDictionary()
+
+
+def _same(objs: tuple, others) -> bool:
+    return len(objs) == len(others) and all(a is b for a, b in zip(objs, others))
+
+
+def _shared_tables(prior: ChangePointPrior, models: Sequence[ARGaussianSignal],
+                   mixing: Sequence[MixingMeasure], cap: int) -> ConfigTables:
+    """The tables for ``cap`` steps of one mixing measure per model, shared
+    by every caller that passes the same prior, model and mixing objects
+    and the same capacity; a call with other ones replaces the prior's
+    entry."""
+    tables = _SHARED.get(prior)
+    if (tables is None or tables.cap != cap or not _same(tables.models, models)
+            or not _same(tables.mixing, mixing)):
+        tables = _build_tables(prior, models, mixing, cap)
+        _SHARED[prior] = tables
+    return tables
+
+
 def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
     """P(nu >= n | data) under the stream-i change model: 1/(1 + ratio)."""
     x = frame.log_ratio[stream - 1, 0]
@@ -204,19 +299,8 @@ class Detector:
         if window is not None and window < 1:
             raise EngineError(f"window must be >= 1, got {window}")
         self.window = None if window is None else int(window)
-
-        # pad all grids to a common width with zero-weight copies of the
-        # last grid point; duplicates change neither mixture nor sup
-        width = max(m.grid.size for m in self.mixing)
-        self._grid = np.empty((self.n_streams, width))
-        self._logw = np.full((self.n_streams, width), -np.inf)
-        for s, m in enumerate(self.mixing):
-            g = m.grid.size
-            self._grid[s, :g] = m.grid
-            self._grid[s, g:] = m.grid[-1]
-            self._logw[s, :g] = m.log_weights
-        self._grid_sq = self._grid ** 2
-        self._width = width
+        cap = max(int(capacity), 16)
+        self.tables = _shared_tables(prior, self.models, self.mixing, cap)
 
         self.n = 0
         # chunk length of the windowed scan; full mode is one endless chunk
@@ -224,28 +308,19 @@ class Detector:
         # log-sum-exp of lp_k - cumz_k over this chunk's candidates so far,
         # and over each suffix of the previous chunk; set by ``lookahead``
         self._prefix = self._suffix = None
-
-        # every model is a signal theta*S_t in AR(p) Gaussian noise (the
-        # i.i.d. mean shift is order 0 with S_t = 1); shorter AR filters are
-        # zero-padded to the longest one
-        order = max(len(m.ar_coeffs) for m in self.models)
-        self._ar = np.zeros((self.n_streams, order))
-        for s, m in enumerate(self.models):
-            self._ar[s, :len(m.ar_coeffs)] = m.ar_coeffs
-        # last ``order`` observations before the look-ahead frontier, oldest
-        # first; zero before the first observation, as in ``whiten``
-        self._history = np.zeros((self.n_streams, order))
-        self._s2 = np.array([m.sigma ** 2 for m in self.models])
-        self._cap = 0
-        self._cumz = np.zeros((1, self.n_streams, width))
-        self._grow(max(int(capacity), 16))
+        # the last ``order`` observations before the look-ahead frontier,
+        # oldest first; zero before the first observation, as in ``whiten``
+        self._history = np.zeros(self.tables.ar.shape)
+        # row n of cumz is written when step n is looked ahead; only row 0
+        # is read before that
+        self._cumz = np.empty((cap + 1,) + self.tables.grid.shape)
+        self._cumz[0] = 0.0
         # looked-ahead steps n0+1..n0+m: their observations (m lists of N
         # floats, which ``advance`` compares cheaply), and the mixture and
         # screen bound rows (m+1, N) whose row 0 is time n0
         self._n0 = 0
         self._ahead = []
-        self._mix = np.full((1, self.n_streams), -np.inf)
-        self._bound = np.full((1, self.n_streams), -np.inf)
+        self._mix = self._bound = np.full((1, self.n_streams), -np.inf)
 
     @property
     def _window_start(self) -> int:
@@ -259,24 +334,17 @@ class Detector:
         s = self._window_start
         if s == 0:
             return -math.inf
-        return float(_lse(self._lp[:s]))
+        return float(_lse(self.tables.lp[:s]))
 
     # -- stepping --------------------------------------------------------
 
     def _grow(self, cap: int) -> None:
-        """Size cumz, the merged prior log-pmf, the whitened signal values
-        and v/2 for ``cap`` steps, keeping the cumz rows so far."""
-        cumz = np.zeros((cap + 1, self.n_streams, self._width))
-        cumz[: self._cap + 1] = self._cumz
+        """Size cumz and the tables for ``cap`` steps, keeping the cumz rows
+        so far.  A grown detector's tables are its own."""
+        cumz = np.empty((cap + 1,) + self._cumz.shape[1:])
+        cumz[:len(self._cumz)] = self._cumz
         self._cumz = cumz
-        self._lp = self.prior.log_pmf_head_merged(cap)
-        signals = np.array([m.signal_values(cap) for m in self.models])
-        self._sw = whiten(signals, self._ar).T
-        # scaled in place: these tables are as long as the path
-        self._half_v = self._sw * self._sw
-        self._half_v /= self._s2
-        self._half_v *= 0.5
-        self._cap = cap
+        self.tables = _build_tables(self.prior, self.models, self.mixing, cap)
 
     def lookahead(self, block) -> Tuple[np.ndarray, np.ndarray]:
         """Compute the statistics of the next m steps from an (N, m) block
@@ -301,17 +369,18 @@ class Detector:
                               f"{block[:, t]}")
         m = block.shape[1]
         n0 = self.n
-        while n0 + m > self._cap:
-            self._grow(2 * self._cap)
+        while n0 + m > self.tables.cap:
+            self._grow(2 * self.tables.cap)
+        tab = self.tables
         # the coefficients of ``llr_coefficients`` for every step and stream;
         # the first ``order`` whitened values only re-read the history
         order = self._history.shape[1]
         hist = np.concatenate((self._history, block), axis=1)
-        xt = whiten(hist, self._ar)[:, order:].T
-        u = self._sw[n0:n0 + m] * xt / self._s2
+        xt = whiten(hist, tab.ar)[:, order:].T
+        u = tab.sw[n0:n0 + m] * xt / tab.s2
         self._history = hist[:, m:]
-        inc = (u[:, :, None] * self._grid
-               - self._half_v[n0:n0 + m, :, None] * self._grid_sq)
+        inc = (u[:, :, None] * tab.grid
+               - tab.half_v[n0:n0 + m, :, None] * tab.grid_sq)
         cumz = self._cumz[n0:n0 + m + 1]
         cumz[1:] = inc
         np.add.accumulate(cumz, axis=0, out=cumz)
@@ -320,7 +389,7 @@ class Detector:
         # the previous chunk's suffix from local index c + 1.  ``a`` turns
         # into the prefix scan and then into the windowed mixture b
         L = self._chunk
-        a = self._lp[n0:n0 + m, None, None] - self._cumz[n0:n0 + m]
+        a = tab.lp[n0:n0 + m, None, None] - self._cumz[n0:n0 + m]
         i = 0
         while i < m:
             n = n0 + i
@@ -336,12 +405,12 @@ class Detector:
                 np.logaddexp(self._suffix[c + 1:c + 1 + r], seg[:r], out=seg[:r])
             if (n0 + e) % L == 0:
                 k = slice(n0 + e - L, n0 + e)
-                rows = self._lp[k, None, None] - self._cumz[k]
+                rows = tab.lp[k, None, None] - self._cumz[k]
                 self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
             i = e
         # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
         t1 = self._cumz[n0 + 1:n0 + m + 1] + a
-        mix = _lse(t1 + self._logw, axis=2)
+        mix = _lse(t1 + tab.logw, axis=2)
         bound = t1.max(axis=2)
         # the last rows so far are those of the committed time n
         self._mix = np.concatenate((self._mix[-1:], mix))
@@ -389,10 +458,9 @@ class Detector:
     @property
     def log_sup_values(self) -> np.ndarray:
         """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,)."""
-        k = np.arange(self._window_start, self.n)
-        diff = self._cumz[self.n][None, :, :] - self._cumz[k]
-        rowmax = diff.max(axis=2)
-        return _lse(self._lp[k, None] + rowmax, axis=0)
+        k = slice(self._window_start, self.n)
+        rowmax = (self._cumz[self.n] - self._cumz[k]).max(axis=2)
+        return _lse(self.tables.lp[k, None] + rowmax, axis=0)
 
     @property
     def log_survivor(self) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -153,25 +153,15 @@ class ARGaussianSignal:
 
 
 def info_number_pair_inf(model_i: ARGaussianSignal, theta_i: float,
-                         model_j: ARGaussianSignal,
-                         grid_j: Optional[np.ndarray] = None):
+                         model_j: ARGaussianSignal, grid_j) -> float:
     """Infimum of I_ij = I_i(theta_i) + I_0j(theta_j) over the competitor's
-    parameter space.
+    mixing grid ``grid_j``, where the detector's denominator optimizes.
 
-    Returns (on_grid, analytic).  For the shipped Gaussian model the
-    pre-change drift rate I_0j(theta) equals the post-change rate
-    I_j(theta), so ``info_number`` serves both.  It is increasing in
-    |theta_j|, so the infimum over [theta_min, theta_max] sits at
-    theta_min; the grid value is reported alongside because the detector's
-    denominator optimizes on the grid.
+    For the shipped Gaussian model the pre-change drift rate I_0j(theta)
+    equals the post-change rate I_j(theta), so ``info_number`` serves both.
     """
-    analytic = (model_i.info_number(theta_i)
-                + model_j.info_number(model_j.theta_min))
-    if grid_j is None:
-        return analytic, analytic
-    on_grid = (model_i.info_number(theta_i)
-               + min(model_j.info_number(t) for t in np.asarray(grid_j)))
-    return on_grid, analytic
+    return (model_i.info_number(theta_i)
+            + min(model_j.info_number(t) for t in np.asarray(grid_j)))
 
 
 @dataclass(frozen=True)

@@ -184,8 +184,9 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     det = Detector(prior, models, mixing, window=window,
                    capacity=max(horizon, 16))
     log_a = thresholds.log_a
-    lsv = prior.log_survivor(np.arange(1, horizon + 1))
-    width = max(m.grid.size for m in det.mixing)
+    # log P(nu >= n) for n = 1.. from the tables the campaign shares
+    lsv = det.tables.log_survivor
+    width = det.tables.grid.shape[1]
     cap = max(_FIRST_BLOCK, _BLOCK_ENTRIES // (n_streams * width))
     size = _FIRST_BLOCK
     t = 0

@@ -78,8 +78,8 @@ def test_03_first_order_delay_ladder(standard):
     scale = base[0, 2] / base[0, 0]      # competitor / no-change ratio
     mu = prior.tail_exponent().mu
     info = models[0].info_number(1.0)
-    pair_inf, _ = info_number_pair_inf(models[0], 1.0, models[1],
-                                       grid_j=mix.grid)
+    pair_inf = info_number_pair_inf(models[0], 1.0, models[1],
+                                    grid_j=mix.grid)
     ratios1, ratios2, details = [], [], []
     for log_a0 in (6.0, 9.0, 14.0):
         th = ThresholdMatrix(log_a=np.array(

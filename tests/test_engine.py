@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,12 +306,49 @@ class TestCapacityGrowth:
         # whose suffix scan then reads the regrown tables
         for window in (None, 5):
             small = Detector(prior, models, mix, window=window, capacity=16)
+            shared = small.tables
             big = Detector(prior, models, mix, window=window, capacity=64)
             for t in range(40):
                 f1 = small.step(obs[:, t])
                 f2 = big.step(obs[:, t])
-                np.testing.assert_allclose(f1.log_mix, f2.log_mix, rtol=1e-12)
-                np.testing.assert_allclose(f1.log_sup, f2.log_sup, rtol=1e-12)
+                for name in ("log_mix", "log_sup", "log_ratio"):
+                    np.testing.assert_array_equal(getattr(f1, name),
+                                                  getattr(f2, name))
+                assert small.evicted_log_prior_mass == big.evicted_log_prior_mass
+            # past the shared capacity the tables are the detector's own
+            assert small.tables.cap == 64 and small.tables is not shared
+            assert shared.cap == 16 and not shared.sw.flags.writeable
+
+
+class TestSharedTables:
+    """Detectors with the same prior, model and mixing objects and the same
+    capacity share one set of read-only config tables."""
+
+    FIELDS = ("grid", "logw", "grid_sq", "ar", "s2", "lp", "log_survivor",
+              "sw", "half_v")
+
+    def test_shared_and_read_only(self):
+        prior, models, mix = make_setup()
+        a = Detector(prior, models, mix, capacity=100)
+        b = Detector(prior, models, mix, window=5, capacity=100)
+        assert a.tables is b.tables
+        for name in self.FIELDS:
+            arr = getattr(a.tables, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        # other model objects, or another capacity, get tables of their own
+        others = [ARGaussianSignal(0.25, 2.0) for _ in models]
+        assert Detector(prior, others, mix, capacity=100).tables is not a.tables
+        assert Detector(prior, models, mix, capacity=200).tables is not a.tables
+
+    def test_tables_die_with_the_prior(self):
+        prior, models, mix = make_setup()
+        ref = weakref.ref(Detector(prior, models, mix).tables)
+        assert ref() is not None
+        del prior
+        gc.collect()
+        assert ref() is None
 
 
 @settings(max_examples=25, deadline=None)

@@ -208,6 +208,10 @@ class TestBatches:
                                   threads=2)
         assert (run_null_batch(serial, models, prior, mix, th)
                 == run_null_batch(parallel, models, prior, mix, th))
+        assert (run_change_batch(serial, models, prior, mix, th, stream=2,
+                                 theta=1.0)
+                == run_change_batch(parallel, models, prior, mix, th,
+                                    stream=2, theta=1.0))
 
 
 class TestValidateConditions:
