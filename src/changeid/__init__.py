@@ -2,9 +2,9 @@
 data streams, with mixture statistics over composite post-change
 hypotheses and Monte Carlo verification of the risk bounds."""
 
-from .prior import ChangePointPrior, PriorError, TailExponent
+from .prior import ChangePointPrior, PriorError
 from .models import (whiten, ConstantSignal, SineSignal, ARGaussianSignal,
-                     TrialPath, simulate, info_number_pair_inf, ModelError)
+                     TrialPath, simulate, ModelError)
 from .engine import (MixingMeasure, StatisticFrame, Detector, EngineError,
                      posterior_no_change)
 from .rule import (ThresholdMatrix, Verdict, CalibrationError,

@@ -27,7 +27,7 @@ import numpy as np
 from . import montecarlo, theory
 from .config import (ConfigError, RunConfig, build_mixing, build_models,
                      build_prior, build_thresholds, load_config)
-from .models import ModelError, info_number_pair_inf
+from .models import ModelError
 from .montecarlo import ExperimentPlan, RiskReport, jsonable
 from .rule import CalibrationError, run
 
@@ -42,16 +42,34 @@ EXIT_BOUND_FAIL = 4
 # memory, and a value every platform's C long holds
 _FIELD_LIMIT = 2 ** 31 - 1
 
+# the config values a flag may override, each given only to the
+# subcommands that read it
+_OVERRIDES = {
+    "seed": dict(type=int, help="master seed override"),
+    "trials": dict(type=int, help="trial count override"),
+    "threads": dict(type=int, help="worker cap override"),
+    "window": dict(type=int, help="window-limited candidate span override"),
+    "out": dict(help="output directory (default: stdout)"),
+}
+
 
 def _load(args):
     """Config with flag overrides applied, and the objects built from it:
     (cfg, prior, models, mixing, thresholds)."""
     cfg = load_config(args.config)
-    for key in ("seed", "trials", "threads", "window", "out"):
+    for key in _OVERRIDES:
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
-    return (cfg, build_prior(cfg.prior), build_models(cfg.models),
-            build_mixing(cfg.mixing), build_thresholds(cfg))
+    prior, models, mixing = (build_prior(cfg.prior), build_models(cfg.models),
+                             build_mixing(cfg.mixing))
+    # the mixing measure lives on each stream's parameter interval
+    for idx, model in enumerate(models, start=1):
+        for end in (mixing.grid[0], mixing.grid[-1]):
+            if not model.theta_min <= end <= model.theta_max:
+                raise ConfigError(
+                    f"stream {idx}: mixing grid end {end:g} outside parameter "
+                    f"interval [{model.theta_min:g}, {model.theta_max:g}]")
+    return cfg, prior, models, mixing, build_thresholds(cfg)
 
 
 def _emit(text: str, out_dir: Optional[str], filename: str) -> None:
@@ -66,7 +84,13 @@ def _emit(text: str, out_dir: Optional[str], filename: str) -> None:
 def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
     per_stream, total = theory.pfa_bound(thresholds)
     pair, rows = theory.pmi_bound(thresholds)
-    mu = prior.tail_exponent().mu
+    mu = prior.tail_exponent()
+    # inf I_0j over stream j's mixing grid; for the shipped Gaussian model
+    # the pre-change drift rate I_0j equals the post-change rate I_j.  Only
+    # the delay scales read it, and a sine signal's Q costs a long whitening
+    competitor_info = ({j: min(m.info_number(g) for g in mixing.grid)
+                        for j, m in enumerate(models, start=1)}
+                       if cfg.theta_points else {})
     tables = {
         "log_thresholds": thresholds.log_a.tolist(),
         "pfa_bound_per_stream": per_stream.tolist(),
@@ -78,20 +102,14 @@ def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
     }
     for theta in cfg.theta_points:
         psis = []
-        for i in range(1, cfg.n_streams + 1):
+        for i, model in enumerate(models, start=1):
             try:
-                info = models[i - 1].info_number(theta)
+                info = model.info_number(theta)
             except ModelError:
                 psis.append(None)
                 continue
-            pair_inf = {}
-            for j in range(1, cfg.n_streams + 1):
-                if j == i:
-                    continue
-                pair_inf[j] = info_number_pair_inf(models[i - 1], theta,
-                                                   models[j - 1],
-                                                   grid_j=mixing.grid)
-            psis.append(theory.psi_threshold(thresholds, i, info, pair_inf, mu))
+            psis.append(theory.psi_threshold(thresholds, i, info,
+                                             competitor_info, mu))
         tables["psi_delay_scale"][repr(float(theta))] = psis
     return tables
 
@@ -127,6 +145,11 @@ def _read_data_csv(path: str, n_streams: int) -> np.ndarray:
     return np.ascontiguousarray(obs)
 
 
+def _header(n_streams: int) -> list:
+    """The data CSV's header cells: t, stream_1..stream_N."""
+    return ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
+
+
 def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
     """The (N, T) observations when an ASCII file's body parses in one
     ``np.loadtxt`` call and passes the walk's checks as a table; None for
@@ -142,7 +165,7 @@ def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
     if raw.count(b"\r") != raw.count(b"\r\n"):
         return None
     head, _, body = raw.partition(b"\n")
-    expected = ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
+    expected = _header(n_streams)
     # a header with quotes fails this split and is left to the walk
     if [h.strip() for h in head.decode().split(",")] != expected:
         return None
@@ -181,7 +204,7 @@ def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
                 header = next(reader)
             except StopIteration:
                 raise ConfigError(f"data file {path} is empty")
-            expected = ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
+            expected = _header(n_streams)
             if [h.strip() for h in header] != expected:
                 raise ConfigError(
                     f"data header must be {','.join(expected)}, got {','.join(header)}")
@@ -351,14 +374,11 @@ def cmd_report(args) -> int:
     return EXIT_CENSORED if flags else EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="YAML run config")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--trials", type=int, help="trial count override")
-    p.add_argument("--threads", type=int, help="worker cap override")
-    p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--window", type=int,
-                   help="window-limited candidate span override")
+def _add_config(p: argparse.ArgumentParser, *overrides: str) -> None:
+    """``--config`` and the config overrides the subcommand reads."""
+    p.add_argument("--config", required=True, help="YAML run config")
+    for key in overrides:
+        p.add_argument(f"--{key}", **_OVERRIDES[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="thresholds and closed-form tables")
-    _add_common(p)
+    _add_config(p, "out")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("detect", help="run the rule on a CSV of observations")
-    _add_common(p)
+    _add_config(p, "window", "out")
     p.add_argument("data", help="CSV with header t,stream_1..stream_N")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("simulate", help="Monte Carlo risk estimation")
-    _add_common(p)
+    _add_config(p, *_OVERRIDES)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="information-rate diagnostics")
-    _add_common(p)
+    _add_config(p, "seed", "trials", "window", "out")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="summarize a saved risk report")

@@ -274,7 +274,7 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
     """
     t = cfg.targets
     n = cfg.n_streams
-    head = build_prior(cfg.prior).head_mass
+    head = build_prior(cfg.prior).q
     for form, keys in _TARGET_FORMS:
         if form in t:
             _check_keys(t, keys, f"targets with {form}")

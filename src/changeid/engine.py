@@ -464,7 +464,11 @@ class Detector:
 
     @property
     def log_survivor(self) -> float:
-        return float(self.prior.log_survivor(self.n))
+        """log P(nu >= n) at the committed time n >= 1, read from the table
+        the block screen reads."""
+        if self.n < 1:
+            raise EngineError("no observations consumed yet")
+        return float(self.tables.log_survivor[self.n - 1])
 
     def frame(self) -> StatisticFrame:
         if self.n < 1:

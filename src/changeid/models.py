@@ -21,7 +21,7 @@ import numpy as np
 __all__ = [
     "whiten", "ConstantSignal", "SineSignal",
     "ARGaussianSignal", "TrialPath",
-    "simulate", "info_number_pair_inf", "ModelError",
+    "simulate", "ModelError",
 ]
 
 
@@ -150,18 +150,6 @@ class ARGaussianSignal:
         """LLR drift rate theta^2 Q / (2 sigma^2)."""
         self._check_theta(theta)
         return theta ** 2 * self.whitened_energy() / (2.0 * self.sigma ** 2)
-
-
-def info_number_pair_inf(model_i: ARGaussianSignal, theta_i: float,
-                         model_j: ARGaussianSignal, grid_j) -> float:
-    """Infimum of I_ij = I_i(theta_i) + I_0j(theta_j) over the competitor's
-    mixing grid ``grid_j``, where the detector's denominator optimizes.
-
-    For the shipped Gaussian model the pre-change drift rate I_0j(theta)
-    equals the post-change rate I_j(theta), so ``info_number`` serves both.
-    """
-    return (model_i.info_number(theta_i)
-            + min(model_j.info_number(t) for t in np.asarray(grid_j)))
 
 
 @dataclass(frozen=True)

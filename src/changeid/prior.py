@@ -11,25 +11,15 @@ probability q at nu = -1.  Three families are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["ChangePointPrior", "PriorError", "TailExponent"]
-
-_NORM_TOL = 1e-12
+__all__ = ["ChangePointPrior", "PriorError"]
 
 
 class PriorError(ValueError):
     """Invalid prior parameters or out-of-domain query."""
-
-
-@dataclass(frozen=True)
-class TailExponent:
-    """Exponential decay rate of the right tail (mu)."""
-
-    mu: float
 
 
 class ChangePointPrior:
@@ -96,10 +86,6 @@ class ChangePointPrior:
         return cls(cls.EXPLICIT, q, probs=probs)
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def head_mass(self) -> float:
-        return self.q
 
     def _weibull_log_survivor(self, n) -> np.ndarray:
         # S(n) = exp(-(n / scale)**kappa), S(0) = 1
@@ -200,20 +186,20 @@ class ChangePointPrior:
 
     # -- tail diagnostics ------------------------------------------------
 
-    def tail_exponent(self) -> TailExponent:
+    def tail_exponent(self) -> float:
         """Decay rate mu = lim |log P(nu >= n)| / n (estimated for tables)."""
         if self.kind == self.GEOMETRIC:
-            return TailExponent(mu=-math.log1p(-self.rho))
+            return -math.log1p(-self.rho)
         if self.kind == self.DISCRETE_WEIBULL:
             if self.kappa < 1.0:
-                return TailExponent(mu=0.0)
-            return TailExponent(mu=1.0 / self.scale)
+                return 0.0
+            return 1.0 / self.scale
         horizon = self._probs.size
         lo, hi = max(1, horizon // 2), max(2, int(horizon * 0.9))
         n = np.arange(lo, hi)
         ls = self.log_survivor(n)
         ok = np.isfinite(ls)
         if ok.sum() < 2:
-            return TailExponent(mu=0.0)
+            return 0.0
         slope = np.polyfit(n[ok], -ls[ok], 1)[0]
-        return TailExponent(mu=max(slope, 0.0))
+        return max(slope, 0.0)

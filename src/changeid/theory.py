@@ -3,8 +3,7 @@ delay approximations.
 
 All bounds take thresholds in the ThresholdMatrix layout (column 0 = the
 no-change competitor).  Information numbers are supplied by the model
-layer (``info_number_pair_inf`` gives the infimum over a competitor's
-mixing grid).
+layer (``ARGaussianSignal.info_number``).
 """
 from __future__ import annotations
 
@@ -40,21 +39,20 @@ def pmi_bound(thresholds: ThresholdMatrix):
 
 
 def psi_threshold(thresholds: ThresholdMatrix, stream: int, info: float,
-                  pair_inf: Mapping[int, float], mu: float) -> float:
+                  competitor_info: Mapping[int, float], mu: float) -> float:
     """First-order expected-delay scale at given thresholds:
 
         max( log A_i0 / (I_i + mu),  max_j log A_ij / (I_i + min(mu, inf I_0j)) )
 
-    ``pair_inf`` maps competitor stream j (1-based) to inf I_ij =
-    I_i + inf I_0j.  Stream j has no change, so its statistic falls at
-    min(mu, inf I_0j): the prior terms with k near n decay at mu.  The
-    ratio against it therefore grows at I_i + min(mu, inf I_0j), which is
-    min(inf I_ij, I_i + mu).
+    ``info`` is I_i and ``competitor_info`` maps competitor stream j
+    (1-based) to inf I_0j over stream j's mixing grid, where the detector's
+    denominator optimizes.  Stream j has no change, so its statistic falls
+    at min(mu, inf I_0j): the prior terms with k near n decay at mu.
     """
     i = stream - 1
     best = thresholds.log_a[i, 0] / (info + mu)
     for j in range(1, thresholds.n_streams + 1):
         if j != stream:
-            rate = min(pair_inf[j], info + mu)
+            rate = info + min(competitor_info[j], mu)
             best = max(best, thresholds.log_a[i, j] / rate)
     return best

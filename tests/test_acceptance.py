@@ -15,8 +15,7 @@ from scipy.stats import norm
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, ExperimentPlan, MixingMeasure,
                       ThresholdMatrix, calibrate, estimate_delay,
-                      estimate_pfa, estimate_pmi,
-                      info_number_pair_inf, posterior_no_change,
+                      estimate_pfa, estimate_pmi, posterior_no_change,
                       psi_threshold, run, run_change_batch, run_null_batch,
                       simulate, validate_conditions)
 from changeid.cli import main as cli_main
@@ -76,10 +75,9 @@ def test_03_first_order_delay_ladder(standard):
     prior, models, mix, _ = standard
     base = calibrate(0.05, 0.05, n_streams=2).log_a
     scale = base[0, 2] / base[0, 0]      # competitor / no-change ratio
-    mu = prior.tail_exponent().mu
+    mu = prior.tail_exponent()
     info = models[0].info_number(1.0)
-    pair_inf = info_number_pair_inf(models[0], 1.0, models[1],
-                                    grid_j=mix.grid)
+    inf_02 = min(models[1].info_number(g) for g in mix.grid)
     ratios1, ratios2, details = [], [], []
     for log_a0 in (6.0, 9.0, 14.0):
         th = ThresholdMatrix(log_a=np.array(
@@ -88,7 +86,7 @@ def test_03_first_order_delay_ladder(standard):
         plan = ExperimentPlan(n_trials=2000, horizon=3000, master_seed=SEED)
         outcomes = run_change_batch(plan, models, prior, mix, th,
                                     stream=1, theta=1.0)
-        psi = psi_threshold(th, 1, info, {2: pair_inf}, mu)
+        psi = psi_threshold(th, 1, info, {2: inf_02}, mu)
         d1 = estimate_delay(outcomes, stream=1, r=1)
         d2 = estimate_delay(outcomes, stream=1, r=2)
         ratios1.append(d1["estimate"] / psi)

@@ -74,7 +74,8 @@ class TestCalibrate:
     def test_theory_tables_whiten_once_per_model(self, config_path,
                                                  monkeypatch, capsys):
         # Q of a sine signal is a mean over 100 000 whitened samples; the
-        # delay scales read it for every theta, stream pair and grid point
+        # delay scales read it for every theta, stream pair and grid point,
+        # and without theta points nothing reads it
         model = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0,
                  "ar_coeffs": [0.5],
                  "signal": {"kind": "sine", "omega": 0.3, "amplitude": 3.0}}
@@ -88,6 +89,29 @@ class TestCalibrate:
         scales = json.loads(capsys.readouterr().out)["psi_delay_scale"]
         assert len(scales) == 3 and all(None not in v for v in scales.values())
         assert len(calls) == 3
+        path = config_path({"models": [model] * 3, "theta_points": []},
+                           name="no_theta.yaml")
+        assert main(["calibrate", "--config", path]) == 0
+        assert len(calls) == 3
+
+    def test_delay_scale_uses_each_competitors_infimum(self, config_path,
+                                                      capsys):
+        sigmas = (1.0, 1.7)
+        path = config_path({
+            "models": [{"kind": "gaussian", "theta_min": 0.25,
+                        "theta_max": 2.0, "sigma": s} for s in sigmas],
+            "theta_points": [0.5, 1.0, 1.5]})
+        assert main(["calibrate", "--config", path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        log_a, mu = data["log_thresholds"], data["prior_tail_exponent"]
+        # inf I_0j over the grid 0.25..2.0 is at its first point
+        inf_0 = [0.25 ** 2 / (2 * s ** 2) for s in sigmas]
+        for theta, psis in data["psi_delay_scale"].items():
+            for i, j in ((0, 1), (1, 0)):
+                info = float(theta) ** 2 / (2 * sigmas[i] ** 2)
+                want = max(log_a[i][0] / (info + mu),
+                           log_a[i][j + 1] / (info + min(mu, inf_0[j])))
+                assert psis[i] == pytest.approx(want, rel=1e-12)
 
     def test_invalid_targets_exit_2(self, config_path, capsys):
         path = config_path({"targets": {"alpha": 2.0, "beta": 0.05}})
@@ -449,6 +473,41 @@ class TestReport:
             "(budget 0.01)"]}))
         assert main(["report", str(path)]) == 3
         assert "FLAG: censor budget exceeded" in capsys.readouterr().out
+
+
+class TestCommandLine:
+    def _data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_data_csv(path, np.zeros((2, 5)))
+        return str(path)
+
+    @pytest.mark.parametrize("command",
+                             ["calibrate", "detect", "simulate", "validate"])
+    def test_grid_outside_parameter_interval_exit_2(self, config_path,
+                                                    tmp_path, capsys, command):
+        path = config_path({"models": [{"kind": "gaussian", "theta_min": 0.5,
+                                        "theta_max": 2.0}] * 2})
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        if command == "detect":
+            argv.append(self._data(tmp_path))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: stream 1: mixing grid end 0.25 outside parameter "
+            "interval [0.5, 2]\n")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("calibrate", "--seed"), ("calibrate", "--trials"),
+        ("calibrate", "--threads"), ("calibrate", "--window"),
+        ("detect", "--seed"), ("detect", "--trials"), ("detect", "--threads"),
+        ("validate", "--threads")])
+    def test_flag_the_command_does_not_read_exit_2(self, config_path,
+                                                   tmp_path, capsys, command,
+                                                   flag):
+        argv = [command, "--config", config_path(), flag, "5"]
+        if command == "detect":
+            argv.append(self._data(tmp_path))
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestImportFootprint:

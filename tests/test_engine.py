@@ -319,6 +319,25 @@ class TestCapacityGrowth:
             assert small.tables.cap == 64 and small.tables is not shared
             assert shared.cap == 16 and not shared.sw.flags.writeable
 
+    @pytest.mark.parametrize("prior", [
+        ChangePointPrior.geometric(0.1, q=0.1),
+        ChangePointPrior.discrete_weibull(0.5, 10.0, q=0.2),
+        ChangePointPrior.discrete_weibull(1.0, 10.0),
+        ChangePointPrior.from_pmf(np.linspace(1.0, 0.1, 30)),
+    ], ids=["geometric", "weibull_heavy", "weibull_exp", "explicit"])
+    def test_frame_survivor_is_the_priors(self, rng, prior):
+        # the frame reads P(nu >= n) from the table the block screen reads;
+        # it equals the prior's value at every step, before and after growth
+        _, models, mix = make_setup()
+        obs = rng.standard_normal((2, 40))
+        det = Detector(prior, models, mix, capacity=16)
+        with pytest.raises(EngineError):
+            det.log_survivor
+        for t in range(40):
+            frame = det.step(obs[:, t])
+            assert frame.log_survivor == float(prior.log_survivor(det.n))
+        assert det.tables.cap == 64
+
 
 class TestSharedTables:
     """Detectors with the same prior, model and mixing objects and the same

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, MixingMeasure, ModelError,
-                      SineSignal, info_number_pair_inf, simulate, whiten)
+                      SineSignal, simulate, whiten)
 
 
 class TestWhiten:
@@ -133,15 +133,6 @@ class TestARGaussianSignal:
             det.advance(x[:, t])
             np.testing.assert_allclose(det.log_mix_values - lp[t], batch[t],
                                        rtol=0, atol=1e-9)
-
-
-class TestPairInformation:
-    def test_inf_over_competitor(self):
-        a = ARGaussianSignal(0.25, 2.0)
-        b = ARGaussianSignal(0.25, 2.0)
-        # the inf over the grid, not over the interval (theta_min = 0.25)
-        got = info_number_pair_inf(a, 1.0, b, grid_j=np.array([1.0, 0.3]))
-        assert got == pytest.approx(0.5 + 0.3 ** 2 / 2)
 
 
 class TestSimulate:

@@ -21,7 +21,7 @@ class TestGeometric:
 
     def test_tail_exponent(self):
         mu = ChangePointPrior.geometric(0.1).tail_exponent()
-        assert mu.mu == pytest.approx(-math.log(0.9), rel=1e-12)
+        assert mu == pytest.approx(-math.log(0.9), rel=1e-12)
 
     def test_invalid_rho(self):
         with pytest.raises(PriorError):
@@ -44,9 +44,9 @@ class TestDiscreteWeibull:
 
     def test_heavy_tail_exponent_zero(self):
         te = ChangePointPrior.discrete_weibull(0.5, 10.0).tail_exponent()
-        assert te.mu == 0.0
+        assert te == 0.0
         te1 = ChangePointPrior.discrete_weibull(1.0, 10.0).tail_exponent()
-        assert te1.mu == pytest.approx(0.1)
+        assert te1 == pytest.approx(0.1)
 
     def test_pmf_consistent_with_survivor(self):
         prior = ChangePointPrior.discrete_weibull(0.7, 5.0, q=0.1)
@@ -80,7 +80,7 @@ class TestExplicitPmf:
         rho = 0.1
         probs = rho * (1 - rho) ** np.arange(2000)
         te = ChangePointPrior.from_pmf(probs).tail_exponent()
-        assert te.mu == pytest.approx(-math.log1p(-rho), rel=1e-3)
+        assert te == pytest.approx(-math.log1p(-rho), rel=1e-3)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(PriorError):

@@ -5,8 +5,8 @@ import pytest
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       MixingMeasure, ThresholdMatrix, calibrate,
-                      estimate_delay, info_number_pair_inf, pfa_bound,
-                      pmi_bound, psi_threshold, run_change_batch)
+                      estimate_delay, pfa_bound, pmi_bound, psi_threshold,
+                      run_change_batch)
 
 
 def matrix(a0, a12, a21):
@@ -40,20 +40,20 @@ class TestBounds:
 class TestPsi:
     def test_threshold_form_hand_value(self):
         th = matrix(math.e ** 6, math.e ** 8, math.e ** 8)
-        # stream 1: max(6 / (0.5 + 0.1), 8 / 0.6) with inf I_12 = 0.6
-        got = psi_threshold(th, 1, info=0.5, pair_inf={2: 0.6}, mu=0.1)
+        # stream 1: max(6 / (0.5 + 0.1), 8 / (0.5 + 0.1)) with inf I_02 = 0.1
+        got = psi_threshold(th, 1, info=0.5, competitor_info={2: 0.1}, mu=0.1)
         assert got == pytest.approx(max(6 / 0.6, 8 / 0.6))
 
     def test_no_change_branch_dominates_when_competitor_easy(self):
         th = matrix(math.e ** 10, math.e ** 2, math.e ** 2)
-        got = psi_threshold(th, 1, info=0.5, pair_inf={2: 5.0}, mu=0.0)
+        got = psi_threshold(th, 1, info=0.5, competitor_info={2: 4.5}, mu=0.0)
         assert got == pytest.approx(20.0)
 
     def test_competitor_rate_capped_by_prior_tail(self):
         # mu = 0.02 < inf I_0j = 0.1: stream j's statistic falls at mu, so
         # the competitor ratio grows at I_i + mu = 0.52, not inf I_ij = 0.6
         th = matrix(math.e ** 6, math.e ** 8, math.e ** 8)
-        got = psi_threshold(th, 1, info=0.5, pair_inf={2: 0.6}, mu=0.02)
+        got = psi_threshold(th, 1, info=0.5, competitor_info={2: 0.1}, mu=0.02)
         assert got == pytest.approx(8 / 0.52)
 
     def test_acceptance_config_scale_unchanged(self):
@@ -63,13 +63,13 @@ class TestPsi:
         model = ARGaussianSignal(0.25, 2.0, sigma=1.0)
         mix = MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
         th = calibrate(0.05, 0.05, n_streams=2)
-        mu = prior.tail_exponent().mu
+        mu = prior.tail_exponent()
         info = model.info_number(1.0)
-        pair_inf = info_number_pair_inf(model, 1.0, model, grid_j=mix.grid)
-        assert pair_inf < info + mu
-        got = psi_threshold(th, 1, info, {2: pair_inf}, mu)
+        inf_02 = min(model.info_number(g) for g in mix.grid)
+        assert inf_02 < mu
+        got = psi_threshold(th, 1, info, {2: inf_02}, mu)
         assert got == max(th.log_a[0, 0] / (info + mu),
-                          th.log_a[0, 2] / pair_inf)
+                          th.log_a[0, 2] / (info + inf_02))
 
 
 def test_psi_ladder_slow_tailed_prior():
@@ -79,9 +79,9 @@ def test_psi_ladder_slow_tailed_prior():
     prior = ChangePointPrior.geometric(0.01, q=0.0)
     models = [ARGaussianSignal(0.5, 2.0), ARGaussianSignal(0.5, 2.0)]
     mix = MixingMeasure.uniform(0.5, 2.0, 8, spacing="log")
-    mu = prior.tail_exponent().mu
+    mu = prior.tail_exponent()
     info = models[0].info_number(1.0)
-    pair_inf = info_number_pair_inf(models[0], 1.0, models[1], grid_j=mix.grid)
+    inf_02 = min(models[1].info_number(g) for g in mix.grid)
     plan = ExperimentPlan(n_trials=200, horizon=3000, master_seed=20240823)
     for log_a0 in (24.0, 48.0):
         th = ThresholdMatrix(log_a=np.array(
@@ -90,7 +90,7 @@ def test_psi_ladder_slow_tailed_prior():
         outcomes = run_change_batch(plan, models, prior, mix, th,
                                     stream=1, theta=1.0)
         delay = estimate_delay(outcomes, stream=1, r=1)["estimate"]
-        r1 = delay / psi_threshold(th, 1, info, {2: pair_inf}, mu)
-        r1_inf_rate = delay / (2.37 * log_a0 / pair_inf)
+        r1 = delay / psi_threshold(th, 1, info, {2: inf_02}, mu)
+        r1_inf_rate = delay / (2.37 * log_a0 / (info + inf_02))
         assert r1 <= 1.12, (log_a0, r1)
         assert r1_inf_rate > 1.12, (log_a0, r1_inf_rate)
