@@ -179,10 +179,21 @@ def load_config(path: str) -> RunConfig:
     return cfg
 
 
-def build_prior(section: dict) -> ChangePointPrior:
-    kind = _kind(section, _PRIOR_KEYS, None, "prior")
+def _head_mass(section: dict) -> float:
+    """The prior section's head mass q = P(nu = -1), a number in [0, 1)."""
     try:
         q = _number(section.get("q", 0.0), "q")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid prior: {exc}")
+    if not 0.0 <= q < 1.0:
+        raise ConfigError(f"invalid prior: head mass q must be in [0, 1), got {q}")
+    return q
+
+
+def build_prior(section: dict) -> ChangePointPrior:
+    kind = _kind(section, _PRIOR_KEYS, None, "prior")
+    q = _head_mass(section)
+    try:
         if kind == "geometric":
             return ChangePointPrior.geometric(_number(section["rho"], "rho"),
                                               q=q)
@@ -274,7 +285,7 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
     """
     t = cfg.targets
     n = cfg.n_streams
-    head = build_prior(cfg.prior).q
+    head = _head_mass(cfg.prior)
     for form, keys in _TARGET_FORMS:
         if form in t:
             _check_keys(t, keys, f"targets with {form}")

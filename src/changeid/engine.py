@@ -5,12 +5,16 @@ finite mixing grid of post-change parameters, the log likelihood ratios
 
     log LR_{i,theta}(k, n) = sum_{t=k+1}^{n} log L_{i,theta}(t).
 
-These are represented through per-grid-point cumulative sums cumz, so the
-table never has to be rewritten.  The mixture over the candidates in the
-window, b_n = log sum_k pi_k e^{-cumz_k}, is one chunked prefix/suffix scan
-(van Herk 1992; Gil & Werman 1993) with chunk length L = window: a step
-costs O(grid) amortised, and full mode is the case L = infinity, a running
-logaddexp.  From b the engine derives, each step:
+These are represented through per-grid-point cumulative sums cumz, whose
+values are never rewritten.  The mixture over the candidates in the window,
+b_n = log sum_k pi_k e^{-cumz_k}, is one chunked prefix/suffix scan (van
+Herk 1992; Gil & Werman 1993) with chunk length L = window: a step costs
+O(grid) amortised, and full mode is the case L = infinity, a running
+logaddexp.  The scan and the exact frames read only the rows of the window
+and of the previous chunk, so window mode keeps cumz in a sliding buffer of
+about 2(L + 1 + m) rows for look-ahead blocks of m steps: when a block would
+run past its end, the rows still read move to its front.  Full mode keeps
+every row.  From b the engine derives, each step:
 
 * log of the prior-and-weight mixture statistic (numerator of every ratio),
 * max over the grid of the per-grid-point mixture, a lower bound on the
@@ -280,6 +284,11 @@ class Detector:
     (``log_mix_values``, ``sup_lower_bounds``) describe the committed time
     n and are exposed for callers that only need to decide whether an
     exact frame is worth computing.
+
+    ``capacity`` is the number of steps to size for.  It sizes the per-step
+    tables, which double when a step runs past it; in full mode it also
+    sizes cumz, which in window mode depends only on the window and the
+    look-ahead blocks.
     """
 
     def __init__(self, prior: ChangePointPrior,
@@ -311,9 +320,12 @@ class Detector:
         # the last ``order`` observations before the look-ahead frontier,
         # oldest first; zero before the first observation, as in ``whiten``
         self._history = np.zeros(self.tables.ar.shape)
-        # row n of cumz is written when step n is looked ahead; only row 0
-        # is read before that
-        self._cumz = np.empty((cap + 1,) + self.tables.grid.shape)
+        # row r of cumz holds time _base + r, and the row of time n is
+        # written when step n is looked ahead; only time 0 is read before
+        # that.  ``_slide`` sizes window mode's buffer at the first block
+        self._base = 0
+        rows = cap + 1 if self.window is None else 1
+        self._cumz = np.empty((rows,) + self.tables.grid.shape)
         self._cumz[0] = 0.0
         # looked-ahead steps n0+1..n0+m: their observations (m lists of N
         # floats, which ``advance`` compares cheaply), and the mixture and
@@ -338,13 +350,21 @@ class Detector:
 
     # -- stepping --------------------------------------------------------
 
-    def _grow(self, cap: int) -> None:
-        """Size cumz and the tables for ``cap`` steps, keeping the cumz rows
-        so far.  A grown detector's tables are its own."""
-        cumz = np.empty((cap + 1,) + self._cumz.shape[1:])
-        cumz[:len(self._cumz)] = self._cumz
-        self._cumz = cumz
-        self.tables = _build_tables(self.prior, self.models, self.mixing, cap)
+    def _slide(self, n0: int, m: int) -> None:
+        """Make room in cumz for the times up to n0 + m.  The rows that are
+        still read, times max(0, n0 - L) .. n0 (the window of every step
+        of the block and the previous chunk's suffix), move to the front
+        of the buffer, which is reallocated at twice the L + 1 + m rows a
+        block of m steps needs when they do not fit; in full mode (L =
+        infinity) every row is kept."""
+        lo = max(0, n0 - self._chunk)
+        live = self._cumz[lo - self._base:n0 + 1 - self._base]
+        need = n0 + m + 1 - lo
+        cumz = self._cumz
+        if need > len(cumz):
+            cumz = np.empty((2 * need,) + cumz.shape[1:])
+        cumz[:len(live)] = live
+        self._cumz, self._base = cumz, lo
 
     def lookahead(self, block) -> Tuple[np.ndarray, np.ndarray]:
         """Compute the statistics of the next m steps from an (N, m) block
@@ -370,7 +390,12 @@ class Detector:
         m = block.shape[1]
         n0 = self.n
         while n0 + m > self.tables.cap:
-            self._grow(2 * self.tables.cap)
+            # past its capacity a detector's per-step tables are its own
+            self.tables = _build_tables(self.prior, self.models, self.mixing,
+                                        2 * self.tables.cap)
+        if n0 + m - self._base >= len(self._cumz):
+            self._slide(n0, m)
+        b = self._base
         tab = self.tables
         # the coefficients of ``llr_coefficients`` for every step and stream;
         # the first ``order`` whitened values only re-read the history
@@ -381,7 +406,7 @@ class Detector:
         self._history = hist[:, m:]
         inc = (u[:, :, None] * tab.grid
                - tab.half_v[n0:n0 + m, :, None] * tab.grid_sq)
-        cumz = self._cumz[n0:n0 + m + 1]
+        cumz = self._cumz[n0 - b:n0 + m + 1 - b]
         cumz[1:] = inc
         np.add.accumulate(cumz, axis=0, out=cumz)
         # candidate k = n joins the window [n + 1 - L, n] at step n + 1; its
@@ -389,7 +414,7 @@ class Detector:
         # the previous chunk's suffix from local index c + 1.  ``a`` turns
         # into the prefix scan and then into the windowed mixture b
         L = self._chunk
-        a = tab.lp[n0:n0 + m, None, None] - self._cumz[n0:n0 + m]
+        a = tab.lp[n0:n0 + m, None, None] - cumz[:m]
         i = 0
         while i < m:
             n = n0 + i
@@ -404,12 +429,12 @@ class Detector:
             if n >= L and r > 0:
                 np.logaddexp(self._suffix[c + 1:c + 1 + r], seg[:r], out=seg[:r])
             if (n0 + e) % L == 0:
-                k = slice(n0 + e - L, n0 + e)
-                rows = tab.lp[k, None, None] - self._cumz[k]
+                k = n0 + e - L
+                rows = tab.lp[k:k + L, None, None] - self._cumz[k - b:k + L - b]
                 self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
             i = e
         # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
-        t1 = self._cumz[n0 + 1:n0 + m + 1] + a
+        t1 = cumz[1:] + a
         mix = _lse(t1 + tab.logw, axis=2)
         bound = t1.max(axis=2)
         # the last rows so far are those of the committed time n
@@ -458,9 +483,9 @@ class Detector:
     @property
     def log_sup_values(self) -> np.ndarray:
         """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,)."""
-        k = slice(self._window_start, self.n)
-        rowmax = (self._cumz[self.n] - self._cumz[k]).max(axis=2)
-        return _lse(self.tables.lp[k, None] + rowmax, axis=0)
+        s, n, b = self._window_start, self.n, self._base
+        rowmax = (self._cumz[n - b] - self._cumz[s - b:n - b]).max(axis=2)
+        return _lse(self.tables.lp[s:n, None] + rowmax, axis=0)
 
     @property
     def log_survivor(self) -> float:

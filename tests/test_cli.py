@@ -9,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from changeid import ARGaussianSignal, cli, simulate
+from changeid import ARGaussianSignal, ChangePointPrior, cli, simulate
 from changeid import models as models_module
 from changeid.cli import main
 from changeid.config import ConfigError
@@ -93,6 +93,23 @@ class TestCalibrate:
                            name="no_theta.yaml")
         assert main(["calibrate", "--config", path]) == 0
         assert len(calls) == 3
+
+    def test_prior_built_once(self, config_path, monkeypatch, capsys):
+        # the head mass q that the thresholds read comes from the config
+        # section, not from a second prior whose table is renormalized again
+        path = config_path({"prior": {"kind": "explicit_pmf",
+                                      "probs": [0.5, 0.3, 0.2], "q": 0.1}})
+        calls = []
+        init = ChangePointPrior.__init__
+        monkeypatch.setattr(ChangePointPrior, "__init__",
+                            lambda *a, **k: calls.append(1) or init(*a, **k))
+        assert main(["calibrate", "--config", path]) == 0
+        assert len(calls) == 1
+        # and the thresholds still read it: alpha must stay below 1 - q
+        path = config_path({"prior": {"kind": "geometric", "rho": 0.05,
+                                      "q": 0.96}}, name="heavy_head.yaml")
+        assert main(["calibrate", "--config", path]) == 2
+        assert "1 - head mass 0.04" in capsys.readouterr().err
 
     def test_delay_scale_uses_each_competitors_infimum(self, config_path,
                                                       capsys):

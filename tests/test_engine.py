@@ -298,6 +298,83 @@ class TestLookahead:
                                       per_step.log_mix_values)
 
 
+class TestSlidingBuffer:
+    """Window mode keeps cumz in a buffer whose rows depend on the window
+    and the look-ahead blocks, not on n: over a path many times longer
+    than the buffer, the rows it moves to its front give the statistics
+    bit for bit, whatever the blocks."""
+
+    MODELS = TestLookahead.MODELS
+    T = 1500
+
+    @staticmethod
+    def _frames(det, obs, bounds):
+        """The per-step statistics and frame of every step, and the frame
+        of the committed time again after each block is looked ahead."""
+        steps, again = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo > 1:
+                det.lookahead(obs[:, lo:hi])
+                if lo:
+                    again.append(det.frame())
+            for t in range(lo, hi):
+                det.advance(obs[:, t])
+                steps.append((det.log_mix_values, det.sup_lower_bounds,
+                              det.frame()))
+        return steps, again
+
+    @staticmethod
+    def _assert_same_frame(f1, f2):
+        assert (f1.n, f1.log_survivor) == (f2.n, f2.log_survivor)
+        for name in ("log_mix", "log_sup", "log_ratio"):
+            np.testing.assert_array_equal(getattr(f1, name), getattr(f2, name))
+
+    @pytest.mark.parametrize("window", [1, 7, 50, 300])
+    def test_long_path_blocks_match_per_step(self, window):
+        prior = ChangePointPrior.geometric(0.05, q=0.1)
+        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        rng = np.random.default_rng(window)
+        obs = rng.standard_normal((3, self.T)) + 0.4
+        cuts = np.sort(rng.choice(np.arange(1, self.T), size=40, replace=False))
+        patterns = {
+            "step": list(range(self.T + 1)),
+            "cuts": [0, *cuts.tolist(), self.T],
+            "blocks": [*range(0, self.T, 400), self.T],
+        }
+        dets = {name: Detector(prior, self.MODELS, mix, window=window,
+                               capacity=16) for name in patterns}
+        ref, _ = self._frames(dets["step"], obs, patterns["step"])
+        for name in ("cuts", "blocks"):
+            steps, again = self._frames(dets[name], obs, patterns[name])
+            for (mix1, bound1, f1), (mix2, bound2, f2) in zip(ref, steps,
+                                                              strict=True):
+                np.testing.assert_array_equal(mix1, mix2)
+                np.testing.assert_array_equal(bound1, bound2)
+                self._assert_same_frame(f1, f2)
+            for f2 in again:
+                self._assert_same_frame(ref[f2.n - 1][2], f2)
+        # every buffer is shorter than the path, so its rows have moved; a
+        # block of m steps needs L + 1 + m rows, and gets at most twice that
+        for name, det in dets.items():
+            assert len(det._cumz) <= 2 * (window + 1 + 400) < self.T, name
+        assert window + 2 <= len(dets["step"]._cumz) <= 2 * (window + 2)
+
+    def test_rows_depend_on_neither_n_nor_capacity(self, rng):
+        prior, models, mix = make_setup()
+        obs = rng.standard_normal((2, 10_000))
+        rows = []
+        for capacity in (16, 10_000):
+            det = Detector(prior, models, mix, window=50, capacity=capacity)
+            for lo in range(0, 10_000, 40):
+                det.lookahead(obs[:, lo:lo + 40])
+                for t in range(lo, lo + 40):
+                    det.advance(obs[:, t])
+                if det.n in (1_000, 10_000):
+                    rows.append(len(det._cumz))
+        assert rows == rows[:1] * 4
+        assert 50 + 1 + 40 <= rows[0] <= 2 * (50 + 1 + 40)
+
+
 class TestCapacityGrowth:
     def test_growth_preserves_statistics(self, rng):
         prior, models, mix = make_setup()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,31 @@ class TestBlockScreen:
         for seed in range(6):
             path = simulate(models, 200, np.random.default_rng(seed))
             run(models, prior, mix, th, path, window=5)
+
+
+def test_window_run_memory_does_not_grow_with_the_path():
+    # at window 200 the statistic table holds L + 1 + m rows of N x G, so
+    # only the N-wide per-step tables (about 0.14 KB a step here) grow with
+    # the path; a table of every step would grow by 25 MB from 4 000 to
+    # 16 000 steps
+    n_streams, width = 8, 32
+    models = [ARGaussianSignal(0.25, 2.0) for _ in range(n_streams)]
+    mix = MixingMeasure.uniform(0.25, 2.0, width)
+    log_a = np.full((n_streams, n_streams + 1), 40.0)
+    log_a[np.eye(n_streams, n_streams + 1, k=1, dtype=bool)] = np.nan
+    th = ThresholdMatrix(log_a=log_a)
+    peaks = []
+    for horizon in (4_000, 16_000):
+        obs = np.random.default_rng(horizon).standard_normal((n_streams, horizon))
+        prior = ChangePointPrior.geometric(1e-4)
+        tracemalloc.start()
+        try:
+            verdict = run(models, prior, mix, th, obs, window=200)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.censored
+    assert peaks[1] - peaks[0] < 4 * 2 ** 20
 
 
 def _draw_prior(data, kind):
