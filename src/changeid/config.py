@@ -7,7 +7,7 @@ which override defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 import yaml
@@ -47,9 +47,7 @@ class RunConfig:
         return len(self.models)
 
 
-_KNOWN_KEYS = {"prior", "models", "mixing", "targets", "horizon", "trials",
-               "seed", "threads", "window", "theta_points", "change_stream",
-               "out"}
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _mapping(value, what: str) -> dict:

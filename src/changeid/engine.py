@@ -24,13 +24,13 @@ and on demand the exact sup-over-grid statistic (denominator against
 stream j) and the ratio matrix against the no-change hypothesis and every
 competitor.
 
-One kernel, ``Detector.lookahead``, computes all of this for a block of m
-steps in a few numpy calls over (m, N, grid) arrays, so a step in a long
-block costs the arithmetic on its N x grid entries rather than the
-dispatch of a dozen numpy calls.  ``advance`` commits one looked-ahead
-step; a step that was not looked ahead is looked ahead as a block of one,
-so every statistic has one code path, bit for bit the same whatever the
-blocks.
+Observations enter through one kernel, ``Detector.lookahead``, which
+computes all of this for a block of m steps in a few numpy calls over
+(m, N, grid) arrays, so a step in a long block costs the arithmetic on its
+N x grid entries rather than the dispatch of a dozen numpy calls.
+``advance()`` commits the next looked-ahead step, and ``step(x)`` looks
+ahead a block of one, commits it and builds its frame, so every statistic
+has one code path, bit for bit the same whatever the blocks.
 
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
@@ -276,11 +276,12 @@ def posterior_no_change(frame: StatisticFrame, stream: int) -> float:
 class Detector:
     """Single-owner mutable detector state over N streams.
 
-    Observations are consumed one time step at a time by ``advance``;
-    ``step`` also returns the full exact StatisticFrame.  ``lookahead``
-    computes the statistics of a block of coming steps at once and returns
-    their mixture values and screen bounds, so a caller can screen the
-    block before it commits the steps.  Cheap per-step accessors
+    Observations enter only through ``lookahead``, which computes the
+    statistics of a block of coming steps at once and returns their mixture
+    values and screen bounds, so a caller can screen the block before it
+    commits the steps; ``advance()`` then commits them one at a time.
+    ``step(x)`` looks ahead the one observation vector x, commits it and
+    returns the full exact StatisticFrame.  Cheap per-step accessors
     (``log_mix_values``, ``sup_lower_bounds``) describe the committed time
     n and are exposed for callers that only need to decide whether an
     exact frame is worth computing.
@@ -327,11 +328,10 @@ class Detector:
         rows = cap + 1 if self.window is None else 1
         self._cumz = np.empty((rows,) + self.tables.grid.shape)
         self._cumz[0] = 0.0
-        # looked-ahead steps n0+1..n0+m: their observations (m lists of N
-        # floats, which ``advance`` compares cheaply), and the mixture and
-        # screen bound rows (m+1, N) whose row 0 is time n0
-        self._n0 = 0
-        self._ahead = []
+        # the look-ahead frontier: steps n+1.._end are looked ahead but not
+        # committed.  The mixture and screen bound rows (m+1, N) are those
+        # of times _end-m.._end, so time n is row n - _end - 1
+        self._end = 0
         self._mix = self._bound = np.full((1, self.n_streams), -np.inf)
 
     @property
@@ -367,10 +367,13 @@ class Detector:
         self._cumz, self._base = cumz, lo
 
     def lookahead(self, block) -> Tuple[np.ndarray, np.ndarray]:
-        """Compute the statistics of the next m steps from an (N, m) block
-        of observations, without consuming them; ``advance`` then commits
-        them one at a time.  Returns the rows of ``log_mix_values`` and of
-        ``sup_lower_bounds`` for the looked-ahead steps, each shape (m, N).
+        """Compute the statistics of the next steps from an (N, m) block of
+        observations, without committing them; ``advance`` then commits
+        them one at a time.  The block is looked ahead up to its first
+        non-finite observation, which raises only when it is the block's
+        first: a caller commits the usable steps, and its next look-ahead
+        raises at the bad step.  Returns the rows of ``log_mix_values`` and
+        of ``sup_lower_bounds`` for the looked-ahead steps, one per step.
 
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
@@ -380,13 +383,15 @@ class Detector:
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.n_streams:
             raise EngineError(f"expected an observation block of {self.n_streams} rows")
-        if self.n < self._n0 + len(self._ahead):
+        if self.n < self._end:
             raise EngineError("looked-ahead steps are still to be committed")
         finite = np.isfinite(block).all(axis=0)
         if not finite.all():
-            t = int(np.argmin(finite))
-            raise EngineError(f"non-finite observation at step {self.n + t + 1}: "
-                              f"{block[:, t]}")
+            m = int(np.argmin(finite))
+            if m == 0:
+                raise EngineError(f"non-finite observation at step "
+                                  f"{self.n + 1}: {block[:, 0]}")
+            block = block[:, :m]
         m = block.shape[1]
         n0 = self.n
         while n0 + m > self.tables.cap:
@@ -440,29 +445,23 @@ class Detector:
         # the last rows so far are those of the committed time n
         self._mix = np.concatenate((self._mix[-1:], mix))
         self._bound = np.concatenate((self._bound[-1:], bound))
-        self._ahead = block.T.tolist()
-        self._n0 = n0
+        self._end = n0 + m
         return mix, bound
 
-    def advance(self, x) -> None:
-        """Consume one observation vector without building a frame.
-
-        A looked-ahead step is committed as it is, and x must equal its
-        observation; otherwise x is looked ahead as a block of one."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_streams,):
-            raise EngineError(f"expected observation vector of length {self.n_streams}")
-        i = self.n - self._n0
-        if i == len(self._ahead):
-            self.lookahead(x[:, None])
-        elif x.tolist() != self._ahead[i]:
-            raise EngineError(f"observation at step {self.n + 1} differs from "
-                              f"the looked-ahead one: {x}")
+    def advance(self) -> None:
+        """Commit the next looked-ahead step without building a frame."""
+        if self.n == self._end:
+            raise EngineError("no looked-ahead step to commit")
         self.n += 1
 
     def step(self, x) -> StatisticFrame:
-        """Consume one observation vector and return the exact frame."""
-        self.advance(x)
+        """Look ahead one observation vector, commit it and return the
+        exact frame."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_streams,):
+            raise EngineError(f"expected observation vector of length {self.n_streams}")
+        self.lookahead(x[:, None])
+        self.advance()
         return self.frame()
 
     # -- statistics ------------------------------------------------------
@@ -470,7 +469,7 @@ class Detector:
     @property
     def log_mix_values(self) -> np.ndarray:
         """log Lambda^pi_{i,W}(n) for every stream, shape (N,)."""
-        return self._mix[self.n - self._n0]
+        return self._mix[self.n - self._end - 1]
 
     @property
     def sup_lower_bounds(self) -> np.ndarray:
@@ -478,7 +477,7 @@ class Detector:
         max_g log sum_k pi_k LR_{theta_g}(k, n) over the window.  Since
         max_g sum_k <= sum_k max_g, it is below ``log_sup_values``, and it
         is at least ``log_mix_values`` because the weights sum to 1."""
-        return self._bound[self.n - self._n0]
+        return self._bound[self.n - self._end - 1]
 
     @property
     def log_sup_values(self) -> np.ndarray:

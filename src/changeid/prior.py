@@ -118,7 +118,7 @@ class ChangePointPrior:
         n = np.asarray(n)
         if np.any(n < 0):
             raise PriorError("survivor defined on n >= 0")
-        head = math.log1p(-self.q) if self.q < 1.0 else -math.inf
+        head = math.log1p(-self.q)
         if self.kind == self.GEOMETRIC:
             return head + n * math.log1p(-self.rho)
         if self.kind == self.DISCRETE_WEIBULL:
@@ -132,7 +132,7 @@ class ChangePointPrior:
         k = np.asarray(k)
         if np.any(k < 0):
             raise PriorError("log_pmf vectorized form defined on k >= 0")
-        head = math.log1p(-self.q) if self.q < 1.0 else -math.inf
+        head = math.log1p(-self.q)
         if self.kind == self.GEOMETRIC:
             return head + math.log(self.rho) + k * math.log1p(-self.rho)
         if self.kind == self.DISCRETE_WEIBULL:
@@ -176,7 +176,7 @@ class ChangePointPrior:
             body = np.ceil(self.scale * (-np.log(v)) ** (1.0 / self.kappa)).astype(np.int64) - 1
             body = np.maximum(body, 0)
         else:
-            cdf = np.cumsum(self._probs) / (1.0 - self.q) if self.q < 1 else np.cumsum(self._probs)
+            cdf = np.cumsum(self._probs) / (1.0 - self.q)
             body = np.searchsorted(cdf, v, side="right")
             body = np.minimum(body, self._probs.size - 1)
         out[~head] = body[~head]

@@ -172,7 +172,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     screened at once: the whole ratio layout of every looked-ahead step,
     with the cheap lower bounds ``sup_lower_bounds`` in place of the exact
     competitor denominators, is tested against every threshold.  Every
-    step is then committed with ``advance``, and only a step at which some
+    step is then committed with ``advance()``, and only a step at which some
     stream passes the screen gets an exact frame.  The screen never
     changes the verdict: its ratios bound the exact ones from above, so a
     step it rejects fails the exact criterion too.
@@ -181,8 +181,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     n_streams, horizon = obs.shape
     if n_streams != len(models):
         raise ValueError(f"path has {n_streams} streams, expected {len(models)}")
-    det = Detector(prior, models, mixing, window=window,
-                   capacity=max(horizon, 16))
+    det = Detector(prior, models, mixing, window=window, capacity=horizon)
     log_a = thresholds.log_a
     # log P(nu >= n) for n = 1.. from the tables the campaign shares
     lsv = det.tables.log_survivor
@@ -191,22 +190,16 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     size = _FIRST_BLOCK
     t = 0
     while t < horizon:
-        block = obs[:, t:t + size]
-        # look ahead only up to a non-finite observation: ``advance`` raises
-        # at its step, after any earlier stop has won
-        finite = np.isfinite(block).all(axis=0)
-        if not finite.all():
-            block = block[:, :np.argmin(finite)]
-            if not block.shape[1]:
-                det.advance(obs[:, t])
-        mix, bound = det.lookahead(block)
+        # stops short of a non-finite observation, and raises at its step
+        # on the next block, after any earlier stop has won
+        mix, bound = det.lookahead(obs[:, t:t + size])
         # -inf - -inf (a window or survivor without prior mass) is a NaN
         # ratio, which never passes
         with np.errstate(invalid="ignore"):
             cand = _met(log_ratio_matrix(mix, lsv[t:t + len(mix)], bound),
                         log_a).any(axis=-1).tolist()
         for hit in cand:
-            det.advance(obs[:, t])
+            det.advance()
             t += 1
             if not hit:
                 continue

@@ -100,7 +100,9 @@ class TestOracleEquivalence:
         det = Detector(prior, models, mix, window=window)
         det.lookahead(obs[:, :11])
         for n in range(1, 31):
-            det.advance(obs[:, n - 1])
+            if n > 11:
+                det.lookahead(obs[:, n - 1:n])
+            det.advance()
             lo = 0 if window is None else max(0, n - window)
             want = [logsumexp(lp[lo:n, None] + mix.log_weights
                               + c[n] - c[lo:n]) for c in cum]
@@ -129,7 +131,8 @@ class TestBounds:
         det = Detector(prior, models, mix, window=window)
         obs = rng.standard_normal((2, 30))
         for n in range(1, 31):
-            det.advance(obs[:, n - 1])
+            det.lookahead(obs[:, n - 1:n])
+            det.advance()
             mix_v = det.log_mix_values
             slb = det.sup_lower_bounds
             sup = det.log_sup_values
@@ -179,7 +182,8 @@ class TestWindow:
         det = Detector(prior, models, mix, window=3)
         masses = []
         for t in range(8):
-            det.advance(rng.standard_normal(2))
+            det.lookahead(rng.standard_normal((2, 1)))
+            det.advance()
             masses.append(det.evicted_log_prior_mass)
         assert masses[0] == -math.inf
         assert masses[-1] > masses[3]
@@ -189,8 +193,9 @@ class TestErrors:
     def test_nan_observation_rejected(self):
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
-        with pytest.raises(EngineError):
-            det.advance([np.nan, 0.0])
+        with pytest.raises(EngineError, match="non-finite observation at step 1"):
+            det.step([np.nan, 0.0])
+        assert det.n == 0
 
     def test_frame_before_first_observation(self):
         prior, models, mix = make_setup()
@@ -201,13 +206,14 @@ class TestErrors:
     def test_wrong_observation_length(self):
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
-        with pytest.raises(EngineError):
-            det.advance([1.0])
+        with pytest.raises(EngineError, match="observation vector of length 2"):
+            det.step([1.0])
+        assert det.n == 0
 
 
 class TestLookahead:
-    """``lookahead`` computes the statistics that per-step ``advance`` has:
-    the kernel is the same for a block of any length."""
+    """``lookahead`` computes the statistics that ``step`` has one step at
+    a time: the kernel is the same for a block of any length."""
 
     MODELS = [ARGaussianSignal(0.25, 2.0),
               ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.2),
@@ -229,8 +235,9 @@ class TestLookahead:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             mix, bound = blocks.lookahead(obs[:, lo:hi])
             for t in range(lo, hi):
-                one.advance(obs[:, t])
-                blocks.advance(obs[:, t])
+                one.lookahead(obs[:, t:t + 1])
+                one.advance()
+                blocks.advance()
                 np.testing.assert_array_equal(blocks.log_mix_values, mix[t - lo])
                 np.testing.assert_array_equal(blocks.sup_lower_bounds,
                                               bound[t - lo])
@@ -248,31 +255,37 @@ class TestLookahead:
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
         obs = rng.standard_normal((2, 6))
-        det.advance(obs[:, 0])
+        det.step(obs[:, 0])
         before = det.log_mix_values.copy(), det.sup_lower_bounds.copy()
         det.lookahead(obs[:, 1:])
         assert det.n == 1
         np.testing.assert_array_equal(det.log_mix_values, before[0])
         np.testing.assert_array_equal(det.sup_lower_bounds, before[1])
 
-    def test_advance_rejects_other_observation(self, rng):
+    def test_commit_needs_a_looked_ahead_step(self, rng):
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
-        obs = rng.standard_normal((2, 5))
-        det.lookahead(obs)
-        det.advance(obs[:, 0])
-        with pytest.raises(EngineError, match="differs from the looked-ahead"):
-            det.advance(obs[:, 1] + 1e-9)
+        obs = rng.standard_normal((2, 3))
+        with pytest.raises(EngineError, match="no looked-ahead step"):
+            det.advance()
+        assert det.n == 0
+        det.lookahead(obs[:, :2])
+        det.advance()
+        with pytest.raises(EngineError, match="still to be committed"):
+            det.step(obs[:, 2])
         assert det.n == 1
-        det.advance(obs[:, 1])
+        det.advance()
+        with pytest.raises(EngineError, match="no looked-ahead step"):
+            det.advance()
         assert det.n == 2
+        assert det.step(obs[:, 2]).n == 3
 
     def test_lookahead_with_pending_steps_rejected(self, rng):
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
         obs = rng.standard_normal((2, 5))
         det.lookahead(obs[:, :3])
-        det.advance(obs[:, 0])
+        det.advance()
         with pytest.raises(EngineError, match="still to be committed"):
             det.lookahead(obs[:, 3:])
 
@@ -281,21 +294,30 @@ class TestLookahead:
         obs = rng.standard_normal((2, 8))
         obs[1, 5] = np.nan
         per_step = Detector(prior, models, mix)
-        for t in range(5):
-            per_step.advance(obs[:, t])
+        frames = [per_step.step(obs[:, t]) for t in range(5)]
         with pytest.raises(EngineError) as want:
-            per_step.advance(obs[:, 5])
+            per_step.step(obs[:, 5])
         det = Detector(prior, models, mix)
-        det.advance(obs[:, 0])
+        det.step(obs[:, 0])
+        # the finite steps before the NaN are looked ahead and commit with
+        # the per-step statistics
+        mix_rows, bound_rows = det.lookahead(obs[:, 1:])
+        assert len(mix_rows) == len(bound_rows) == 4
+        for t in range(1, 5):
+            det.advance()
+            f1, f2 = frames[t], det.frame()
+            assert (f1.n, f1.log_survivor) == (f2.n, f2.log_survivor)
+            for name in ("log_mix", "log_sup", "log_ratio"):
+                np.testing.assert_array_equal(getattr(f1, name),
+                                              getattr(f2, name))
+            np.testing.assert_array_equal(det.sup_lower_bounds,
+                                          bound_rows[t - 1])
+        # the next look-ahead starts at the NaN and raises at its step
         with pytest.raises(EngineError) as got:
-            det.lookahead(obs[:, 1:])
+            det.lookahead(obs[:, 5:])
         assert str(got.value) == str(want.value)
         assert "non-finite observation at step 6" in str(got.value)
-        # nothing was looked ahead: the finite steps still go through
-        for t in range(1, 5):
-            det.advance(obs[:, t])
-        np.testing.assert_array_equal(det.log_mix_values,
-                                      per_step.log_mix_values)
+        assert det.n == 5
 
 
 class TestSlidingBuffer:
@@ -313,12 +335,11 @@ class TestSlidingBuffer:
         of the committed time again after each block is looked ahead."""
         steps, again = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo > 1:
-                det.lookahead(obs[:, lo:hi])
-                if lo:
-                    again.append(det.frame())
+            det.lookahead(obs[:, lo:hi])
+            if lo:
+                again.append(det.frame())
             for t in range(lo, hi):
-                det.advance(obs[:, t])
+                det.advance()
                 steps.append((det.log_mix_values, det.sup_lower_bounds,
                               det.frame()))
         return steps, again
@@ -368,7 +389,7 @@ class TestSlidingBuffer:
             for lo in range(0, 10_000, 40):
                 det.lookahead(obs[:, lo:lo + 40])
                 for t in range(lo, lo + 40):
-                    det.advance(obs[:, t])
+                    det.advance()
                 if det.n in (1_000, 10_000):
                     rows.append(len(det._cumz))
         assert rows == rows[:1] * 4

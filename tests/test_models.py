@@ -130,7 +130,7 @@ class TestARGaussianSignal:
         det = Detector(prior, models, one_point, window=1)
         lp = prior.log_pmf_head_merged(10)
         for t in range(10):
-            det.advance(x[:, t])
+            det.step(x[:, t])
             np.testing.assert_allclose(det.log_mix_values - lp[t], batch[t],
                                        rtol=0, atol=1e-9)
 

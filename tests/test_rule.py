@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from changeid import (ARGaussianSignal, CalibrationError, ChangePointPrior,
-                      ConstantSignal, Detector, MixingMeasure, SineSignal,
+                      ConstantSignal, Detector, EngineError, MixingMeasure,
+                      SineSignal,
                       StatisticFrame,
                       ThresholdMatrix, calibrate, calibrate_star, check_stop,
                       run, simulate)
@@ -200,6 +201,57 @@ class TestScreen:
                 assert (got.time, got.stream, got.met_streams) == \
                        (want.time, want.stream, want.met_streams)
         assert stops > 0
+
+
+class TestNonFinite:
+    """A non-finite observation stops ``run`` only if no earlier step
+    stops it: the rule returns the earlier verdict, and otherwise raises at
+    the bad step with the text that the per-step path gives."""
+
+    MODELS = [ARGaussianSignal(0.25, 2.0),
+              ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5,),
+                               signal=SineSignal(omega=0.3, amplitude=3.0))]
+    HORIZON = 1200
+
+    @pytest.mark.parametrize("window", [None, 50], ids=["full", "window50"])
+    @pytest.mark.parametrize("change", [False, True], ids=["never", "change"])
+    @pytest.mark.parametrize("nan_step", [1, 64, 65, 66, 193, 1000])
+    def test_stop_before_else_raise_at_step(self, nan_step, change, window):
+        prior = ChangePointPrior.geometric(0.05)
+        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        rng = np.random.default_rng(7)
+        if change:
+            # stops at step 23, before every NaN but the first
+            th = calibrate(0.1, 0.1, n_streams=2)
+            path = simulate(self.MODELS, self.HORIZON, rng, stream=2,
+                            theta=1.5, nu=20)
+        else:
+            th = ThresholdMatrix(log_a=np.array([[1e9, np.nan, 1e9],
+                                                 [1e9, 1e9, np.nan]]))
+            path = simulate(self.MODELS, self.HORIZON, rng)
+        obs = path.observations.copy()
+        obs[nan_step % 2, nan_step - 1] = np.nan
+        det = Detector(prior, self.MODELS, mix, window=window)
+        want = None
+        try:
+            for t in range(self.HORIZON):
+                want = check_stop(det.step(obs[:, t]), th)
+                if want is not None:
+                    break
+        except EngineError as err:
+            want = str(err)
+        stops = change and nan_step > 1
+        if stops:
+            got = run(self.MODELS, prior, mix, th, obs, window=window)
+            assert (got.time, got.stream, got.met_streams) == \
+                   (want.time, want.stream, want.met_streams)
+            assert got.time < nan_step
+        else:
+            with pytest.raises(EngineError) as err:
+                run(self.MODELS, prior, mix, th, obs, window=window)
+            assert str(err.value) == want == (
+                f"non-finite observation at step {nan_step}: "
+                f"{obs[:, nan_step - 1]}")
 
 
 class TestBlockScreen:
