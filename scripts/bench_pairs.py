@@ -11,7 +11,9 @@ the change side is the working tree as it stands.  For every seed both
 sides run ``perfbench/run.py --workload all --seed S --seconds T``, the
 parent first on the first, third, ... seed and second on the others, so
 that drift of the machine's speed falls on both sides alike.  With
-``--trace-seed`` each side also makes one ``--trace 1`` run.
+``--trace-seed`` each side also makes one ``--trace 1`` run.  Last,
+``scripts/kernel_sweep.py`` of the working tree times each side's
+``Detector.lookahead`` over its N x G sweep.
 
 The output keeps every run record that perfbench wrote and summarizes
 each workload: for every end-to-end metric of BENCHMARK.json the values
@@ -21,7 +23,8 @@ worse direction) against the metric's bound, and ``relative_spread`` (the
 larger IQR / median of the two sides); per-layer numbers come from the
 traced runs.  ``--claim WORKLOAD:METRIC`` adds a claim block, met when
 the change wins at least nine in ten pairs and its median is better than
-the parent's by more than the parent's IQR.
+the parent's by more than the parent's IQR.  The sweep's tables are kept
+per side under ``kernel``.
 """
 from __future__ import annotations
 
@@ -90,6 +93,15 @@ def run_side(root: str, seed: int, seconds: float, trace: int,
             rec["spans_path"] = os.path.relpath(rec["spans_path"], root)
         records[name] = rec
     return records
+
+
+def kernel_table(root: str) -> dict:
+    """The N x G table of scripts/kernel_sweep.py for the engine in ``root``."""
+    cmd = [sys.executable, os.path.join(ROOT, "scripts", "kernel_sweep.py"),
+           "--src", os.path.join(root, "src")]
+    print(f"[{os.path.basename(root)}] scripts/kernel_sweep.py", flush=True)
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
 
 
 def quartiles(values) -> list:
@@ -174,6 +186,7 @@ def main(argv=None) -> int:
             traced = {side: run_side(roots[side], args.trace_seed,
                                      args.seconds, 1, workloads)
                       for side in SIDES}
+        kernel = {side: kernel_table(roots[side]) for side in SIDES}
     finally:
         shutil.rmtree(work)
 
@@ -186,7 +199,9 @@ def main(argv=None) -> int:
                  "first, third, ... seed)"
                  + (f", plus one `--trace 1 --seed {args.trace_seed}` run per "
                     "side" if traced else "")
-                 + ", written by scripts/bench_pairs.py. Summary per workload "
+                 + ", written by scripts/bench_pairs.py; `kernel` holds each "
+                   "side's table from scripts/kernel_sweep.py (us per "
+                   "looked-ahead step over N x G). Summary per workload "
                    "and end-to-end metric: medians, quartiles, pairs the "
                    "change won, change_worse_by = relative change of the "
                    "median in the metric's worse direction, relative_spread "
@@ -199,6 +214,7 @@ def main(argv=None) -> int:
         "notes": args.note,
         "runs": runs,
         "traced": traced,
+        "kernel": kernel,
         "summary": summarize(runs, traced, seeds, bench),
     }
     if args.claim:

@@ -56,10 +56,9 @@ _OVERRIDES = {
 def _load(args):
     """Config with flag overrides applied, and the objects built from it:
     (cfg, prior, models, mixing, thresholds)."""
-    cfg = load_config(args.config)
-    for key in _OVERRIDES:
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
+    cfg = load_config(args.config, {
+        key: getattr(args, key) for key in _OVERRIDES
+        if getattr(args, key, None) is not None})
     prior, models, mixing = (build_prior(cfg.prior), build_models(cfg.models),
                              build_mixing(cfg.mixing))
     # the mixing measure lives on each stream's parameter interval

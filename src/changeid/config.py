@@ -129,7 +129,13 @@ def _log_a(value) -> list:
             for i, row in enumerate(value)]
 
 
-def load_config(path: str) -> RunConfig:
+# the least value of each plan key; None (full mode) is a valid window
+_LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1}
+
+
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
+    """The config in ``path`` with ``overrides`` (key: value, from the
+    command line) applied; ranges are checked on the values in force."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -170,10 +176,12 @@ def load_config(path: str) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}")
-    if cfg.horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    for key, value in (overrides or {}).items():
+        setattr(cfg, key, value)
+    for key, least in _LEAST.items():
+        value = getattr(cfg, key)
+        if value is not None and value < least:
+            raise ConfigError(f"{key} must be >= {least}")
     return cfg
 
 

@@ -32,6 +32,13 @@ N x grid entries rather than the dispatch of a dozen numpy calls.
 ahead a block of one, commits it and builds its frame, so every statistic
 has one code path, bit for bit the same whatever the blocks.
 
+The kernel's running log-sum-exp scans go one row of N x grid entries at
+a time when rows are wide: ``np.logaddexp.accumulate`` along the steps
+waits on each column's serial chain of libm exp and log1p, so it runs at
+their latency, while the entries of a row are independent and run at the
+libm's throughput.  Narrow rows keep ``accumulate``, whose one call costs
+less than a dispatch per row.  Both paths give the same bits.
+
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
 and v/2) are built once and shared, read-only, by every detector with the
@@ -60,6 +67,10 @@ __all__ = ["MixingMeasure", "StatisticFrame", "Detector", "EngineError",
            "log_ratio_matrix", "posterior_no_change"]
 
 _WEIGHT_TOL = 1e-12
+# ``_scan`` goes row by row when a row holds at least this many entries,
+# about where the N x G table of scripts/kernel_sweep.py finds its two
+# paths equally fast
+_ROW_SCAN_ENTRIES = 96
 
 
 class EngineError(ValueError):
@@ -73,6 +84,25 @@ def _lse(a: np.ndarray, axis=None) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
     return out
+
+
+def _scan(ufunc, a: np.ndarray) -> None:
+    """Running reduction of ``ufunc`` along axis 0 of ``a``, in place: row r
+    becomes ufunc(row r-1, row r) after row r-1 has.
+
+    ``ufunc.accumulate(a, axis=0)`` walks each column's chain on its own,
+    so every entry waits for the libm exp and log1p of the entry before
+    it: the scan runs at their latency.  One ufunc call on a whole row
+    evaluates its entries independently, at the libm's throughput, but
+    costs a dispatch per row, which a row of few entries does not repay.
+    Both paths evaluate the same ufunc loop on the same operands in the
+    same order, so they give the same bits.
+    """
+    if a[0].size < _ROW_SCAN_ENTRIES:
+        ufunc.accumulate(a, axis=0, out=a)
+    else:
+        for r in range(1, len(a)):
+            ufunc(a[r - 1], a[r], out=a[r])
 
 
 @dataclass(frozen=True)
@@ -377,8 +407,8 @@ class Detector:
 
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
-        and the windowed mixture by the chunked scan, one
-        ``np.logaddexp.accumulate`` per chunk segment of the block.
+        and the windowed mixture by the chunked scan, one running
+        log-sum-exp ``_scan`` per chunk segment of the block.
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.n_streams:
@@ -428,7 +458,7 @@ class Detector:
             seg = a[i:e]
             if c > 0:
                 seg[0] = np.logaddexp(self._prefix, seg[0])
-            np.logaddexp.accumulate(seg, axis=0, out=seg)
+            _scan(np.logaddexp, seg)
             self._prefix = seg[-1].copy()
             r = min(e - i, L - 1 - c)
             if n >= L and r > 0:
@@ -436,7 +466,8 @@ class Detector:
             if (n0 + e) % L == 0:
                 k = n0 + e - L
                 rows = tab.lp[k:k + L, None, None] - self._cumz[k - b:k + L - b]
-                self._suffix = np.logaddexp.accumulate(rows[::-1], axis=0)[::-1]
+                _scan(np.logaddexp, rows[::-1])
+                self._suffix = rows
             i = e
         # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
         t1 = cumz[1:] + a

@@ -194,6 +194,12 @@ class TestCalibrate:
         pytest.param({"targets": {"log_a": [[3.0, None, None],
                                             [3.0, 3.0, None]]}},
                      None, id="log_a_null_off_diagonal"),
+        pytest.param({"seed": -1}, "error: seed must be >= 0\n",
+                     id="seed_negative"),
+        pytest.param({"threads": 0}, "error: threads must be >= 1\n",
+                     id="threads_zero"),
+        pytest.param({"window": 0}, "error: window must be >= 1\n",
+                     id="window_zero"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):
@@ -525,6 +531,42 @@ class TestCommandLine:
             argv.append(self._data(tmp_path))
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRangeChecks:
+    """The ranges of the keys a flag overrides are checked on the values in
+    force, before anything is built from the config."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate", "--trials", "0", "trials must be >= 1"),
+        ("validate", "--trials", "0", "trials must be >= 1"),
+        ("validate", "--trials", "-2", "trials must be >= 1"),
+        ("simulate", "--seed", "-5", "seed must be >= 0"),
+        ("validate", "--seed", "-5", "seed must be >= 0"),
+        ("simulate", "--threads", "0", "threads must be >= 1"),
+        ("detect", "--window", "0", "window must be >= 1"),
+        ("simulate", "--window", "0", "window must be >= 1"),
+        ("validate", "--window", "-1", "window must be >= 1"),
+    ])
+    def test_out_of_range_flag_exit_2_before_any_build(
+            self, config_path, tmp_path, capsys, monkeypatch, command, flag,
+            value, message):
+        def build_prior(section):
+            raise AssertionError("built a prior from an out-of-range value")
+
+        monkeypatch.setattr(cli, "build_prior", build_prior)
+        argv = [command, "--config", config_path(), flag, value]
+        if command == "detect":
+            argv.append(str(tmp_path / "unread.csv"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_flags_override_out_of_range_config_values(self, config_path,
+                                                       capsys):
+        path = config_path({"trials": 0, "seed": -1, "window": 0})
+        assert main(["validate", "--config", path, "--trials", "30",
+                     "--seed", "11", "--window", "5"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 class TestImportFootprint:

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import logsumexp
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, EngineError, MixingMeasure, SineSignal,
-                      posterior_no_change)
+                      engine, posterior_no_change)
 from conftest import oracle_frame
 
 
@@ -86,28 +87,30 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("window", [None, 4])
     def test_ar_order_two_matches_llr_increments(self, rng, window):
-        # the engine's carried AR history against the model's own whitening
+        # the engine's carried AR history against the model's own whitening;
+        # 2 x 48 entries a row take the engine's row-by-row scan
         prior = ChangePointPrior.geometric(0.1)
         models = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.3),
                                    signal=SineSignal(0.3, amplitude=2.0)),
                   ARGaussianSignal(0.25, 2.0, sigma=1.5, ar_coeffs=(0.2,))]
-        mix = MixingMeasure.uniform(0.25, 2.0, 4)
-        obs = rng.standard_normal((2, 30))
-        cum = [np.vstack([np.zeros((1, 4)), np.cumsum(
-            m.llr_increments(obs[s], mix.grid), axis=0)])
-            for s, m in enumerate(models)]
-        lp = prior.log_pmf_head_merged(30)
-        det = Detector(prior, models, mix, window=window)
-        det.lookahead(obs[:, :11])
-        for n in range(1, 31):
-            if n > 11:
-                det.lookahead(obs[:, n - 1:n])
-            det.advance()
-            lo = 0 if window is None else max(0, n - window)
-            want = [logsumexp(lp[lo:n, None] + mix.log_weights
-                              + c[n] - c[lo:n]) for c in cum]
-            np.testing.assert_allclose(det.log_mix_values, want,
-                                       rtol=1e-9, atol=1e-9)
+        for grid_pts in (4, 48):
+            mix = MixingMeasure.uniform(0.25, 2.0, grid_pts)
+            obs = rng.standard_normal((2, 30))
+            cum = [np.vstack([np.zeros((1, grid_pts)), np.cumsum(
+                m.llr_increments(obs[s], mix.grid), axis=0)])
+                for s, m in enumerate(models)]
+            lp = prior.log_pmf_head_merged(30)
+            det = Detector(prior, models, mix, window=window)
+            det.lookahead(obs[:, :11])
+            for n in range(1, 31):
+                if n > 11:
+                    det.lookahead(obs[:, n - 1:n])
+                det.advance()
+                lo = 0 if window is None else max(0, n - window)
+                want = [logsumexp(lp[lo:n, None] + mix.log_weights
+                                  + c[n] - c[lo:n]) for c in cum]
+                np.testing.assert_allclose(det.log_mix_values, want,
+                                           rtol=1e-9, atol=1e-9)
 
     def test_per_stream_grids(self, rng):
         prior = ChangePointPrior.geometric(0.1)
@@ -224,7 +227,13 @@ class TestLookahead:
     @pytest.mark.parametrize("capacity", [16, 1024])
     def test_blocks_match_per_step(self, window, capacity):
         prior = ChangePointPrior.geometric(0.05, q=0.1)
-        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        # 3 x 32 entries a row take the engine's row-by-row scan
+        for grid_pts in (6, 32):
+            self._blocks_match_per_step(
+                prior, MixingMeasure.uniform(0.25, 2.0, grid_pts, spacing="log"),
+                window, capacity)
+
+    def _blocks_match_per_step(self, prior, mix, window, capacity):
         rng = np.random.default_rng(3)
         obs = rng.standard_normal((3, 90)) + 0.4
         cuts = np.sort(rng.choice(np.arange(1, 90), size=9, replace=False))
@@ -320,6 +329,35 @@ class TestLookahead:
         assert det.n == 5
 
 
+class TestScan:
+    """``_scan`` calls ``accumulate`` on narrow rows and loops over wide
+    ones; both paths give ``np.logaddexp.accumulate``'s bits."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 64, 201])
+    @pytest.mark.parametrize("width", [2, 32])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_both_paths_match_accumulate(self, monkeypatch, rows, width,
+                                         reverse):
+        rng = np.random.default_rng(rows * width)
+        base = rng.standard_normal((rows, 3, width)) * 30.0
+        # zero prior mass: whole rows, columns and single entries of -inf
+        base[rng.random(base.shape) < 0.1] = -np.inf
+        base[::7] = -np.inf
+        base[:, 1, 0] = -np.inf
+        want = np.logaddexp.accumulate(base[::-1] if reverse else base, axis=0)
+        # a threshold of 0 takes the row loop, an endless one ``accumulate``
+        for threshold in (0, sys.maxsize):
+            monkeypatch.setattr(engine, "_ROW_SCAN_ENTRIES", threshold)
+            a = base.copy()
+            view = a[::-1] if reverse else a
+            engine._scan(np.logaddexp, view)
+            assert view.tobytes() == want.tobytes()
+
+    def test_wide_test_grids_take_the_row_path(self):
+        # the block and oracle tests cover both scan paths while this holds
+        assert 3 * 6 < engine._ROW_SCAN_ENTRIES <= min(3 * 32, 2 * 48)
+
+
 class TestSlidingBuffer:
     """Window mode keeps cumz in a buffer whose rows depend on the window
     and the look-ahead blocks, not on n: over a path many times longer
@@ -352,8 +390,14 @@ class TestSlidingBuffer:
 
     @pytest.mark.parametrize("window", [1, 7, 50, 300])
     def test_long_path_blocks_match_per_step(self, window):
+        # 3 x 32 entries a row take the engine's row-by-row scan
+        for grid_pts in (6, 32):
+            self._long_path_blocks_match_per_step(
+                MixingMeasure.uniform(0.25, 2.0, grid_pts, spacing="log"),
+                window)
+
+    def _long_path_blocks_match_per_step(self, mix, window):
         prior = ChangePointPrior.geometric(0.05, q=0.1)
-        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
         rng = np.random.default_rng(window)
         obs = rng.standard_normal((3, self.T)) + 0.4
         cuts = np.sort(rng.choice(np.arange(1, self.T), size=40, replace=False))
