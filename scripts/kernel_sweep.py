@@ -2,16 +2,16 @@
 
 Usage (from the repository root):
 
-    python3 scripts/kernel_sweep.py [--src DIR] [--steps 1280] [--reps 7]
+    python3 scripts/kernel_sweep.py [--src DIR]
 
 For N in {2, 8} streams and G in {8, 12, 32} grid points, in full mode and at
-window 200, a detector looks ahead a path of ``--steps`` Gaussian
+window 200, a detector looks ahead a path of ``STEPS`` Gaussian
 observations in 64-step blocks and commits each block before the next.
-Only the ``lookahead`` calls are timed, and the best of ``--reps``
+Only the ``lookahead`` calls are timed, and the best of ``REPS``
 repetitions is kept.  When the engine scans wide rows one at a time
 (``engine._ROW_SCAN_ENTRIES``), each case is also timed with that
 threshold moved so that every scan takes one path, ``accumulate`` or
-``rows``: the table shows the crossover the threshold is read from.
+``rows``: the table shows which path wins at each width.
 
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
@@ -28,10 +28,12 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STREAMS = (2, 8)
-# 8 x 12 = 96 entries a row is about where the two scan paths cross
+# 8 x 12 = 96 entries a row: a case between the benchmark's 16 and 256
 GRIDS = (8, 12, 32)
 WINDOWS = (None, 200)
 BLOCK = 64
+STEPS = 1280
+REPS = 7
 
 
 def time_path(engine, prior, models, mixing, window, obs) -> float:
@@ -49,7 +51,7 @@ def time_path(engine, prior, models, mixing, window, obs) -> float:
     return spent
 
 
-def sweep(src: str, steps: int, reps: int) -> dict:
+def sweep(src: str) -> dict:
     sys.path.insert(0, src)
     from changeid import engine
     from changeid.models import ARGaussianSignal
@@ -64,7 +66,7 @@ def sweep(src: str, steps: int, reps: int) -> dict:
     rows = []
     for n in STREAMS:
         models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
-        obs = rng.standard_normal((n, steps))
+        obs = rng.standard_normal((n, STEPS))
         for g in GRIDS:
             mixing = engine.MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
             for window in WINDOWS:
@@ -74,24 +76,21 @@ def sweep(src: str, steps: int, reps: int) -> dict:
                     if threshold is not None:
                         engine._ROW_SCAN_ENTRIES = threshold
                     best = min(time_path(engine, prior, models, mixing,
-                                         window, obs) for _ in range(reps))
-                    row[key] = round(1e6 * best / steps, 3)
+                                         window, obs) for _ in range(REPS))
+                    row[key] = round(1e6 * best / STEPS, 3)
                 rows.append(row)
     if shipped is not None:
         engine._ROW_SCAN_ENTRIES = shipped
-    return {"row_scan_entries": shipped, "steps": steps, "block": BLOCK,
-            "reps": reps, "rows": rows}
+    return {"row_scan_entries": shipped, "steps": STEPS, "block": BLOCK,
+            "reps": REPS, "rows": rows}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
                     help="directory holding the changeid package to measure")
-    ap.add_argument("--steps", type=int, default=1280)
-    ap.add_argument("--reps", type=int, default=7)
     args = ap.parse_args(argv)
-    json.dump(sweep(os.path.abspath(args.src), args.steps, args.reps),
-              sys.stdout, indent=1)
+    json.dump(sweep(os.path.abspath(args.src)), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

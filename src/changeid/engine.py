@@ -67,9 +67,10 @@ __all__ = ["MixingMeasure", "StatisticFrame", "Detector", "EngineError",
            "log_ratio_matrix", "posterior_no_change"]
 
 _WEIGHT_TOL = 1e-12
-# ``_scan`` goes row by row when a row holds at least this many entries,
-# about where the N x G table of scripts/kernel_sweep.py finds its two
-# paths equally fast
+# ``_scan`` goes row by row when a row holds at least this many entries.
+# End to end, ``accumulate`` is verified to win at 16 entries a row and the
+# row loop at 256; 96 is a point between them, not a measured crossover
+# (the N x G table of scripts/kernel_sweep.py is too noisy to place one)
 _ROW_SCAN_ENTRIES = 96
 
 
