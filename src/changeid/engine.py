@@ -30,7 +30,9 @@ computes all of this for a block of m steps in a few numpy calls over
 N x grid entries rather than the dispatch of a dozen numpy calls.
 ``advance()`` commits the next looked-ahead step, and ``step(x)`` looks
 ahead a block of one, commits it and builds its frame, so every statistic
-has one code path, bit for bit the same whatever the blocks.
+has one code path, bit for bit the same whatever the blocks.  The LLR
+increments come from one function, ``StreamTables.increments``, whose
+tables need no prior: ``montecarlo.validate_conditions`` sums them too.
 
 The kernel's running log-sum-exp scans go one row of N x grid entries at
 a time when rows are wide: ``np.logaddexp.accumulate`` along the steps
@@ -211,37 +213,62 @@ def log_ratio_matrix(log_mix: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ConfigTables:
-    """The detector's tables that depend only on the config and on the
-    capacity ``cap``, every array read-only.
+class StreamTables:
+    """The tables of N stream models and their mixing measures over ``cap``
+    steps, every array read-only; they need no prior.
 
     The N grids are padded to a common width G with zero-weight copies of
     their last point, which change neither the mixture nor the sup; the AR
-    filters are zero-padded to the longest one.  ``lp`` is the merged
-    prior log-pmf of k = 0..cap-1, ``log_survivor`` is log P(nu >= n) for
-    n = 1..cap, ``sw`` the whitened signal values and ``half_v`` is
-    sw^2 / (2 sigma^2), each (cap, N).
+    filters are zero-padded to the longest one.  ``sw`` holds the whitened
+    signal values and ``half_v`` is sw^2 / (2 sigma^2), each (cap, N).
     """
 
-    models: tuple
-    mixing: tuple
     grid: np.ndarray          # (N, G)
     logw: np.ndarray          # (N, G)
     grid_sq: np.ndarray       # (N, G)
     ar: np.ndarray            # (N, order)
     s2: np.ndarray            # (N,)
-    lp: np.ndarray            # (cap,)
-    log_survivor: np.ndarray  # (cap,)
     sw: np.ndarray            # (cap, N)
     half_v: np.ndarray        # (cap, N)
 
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
     @property
     def cap(self) -> int:
-        return self.lp.size
+        return self.sw.shape[0]
+
+    def increments(self, n0: int, hist: np.ndarray) -> np.ndarray:
+        """The LLR increments theta*u - theta^2*v/2, u = sw*x~/sigma^2, of
+        steps n0+1 .. n0+m at every grid point, shape (m, N, G).  ``hist``
+        (N, order + m) holds the ``order`` observations before step n0+1,
+        oldest first (zero before the first), then the m steps'."""
+        order = self.ar.shape[1]
+        # the first ``order`` whitened values only re-read the history
+        xt = whiten(hist, self.ar)[:, order:].T
+        m = len(xt)
+        u = self.sw[n0:n0 + m] * xt / self.s2
+        return (u[:, :, None] * self.grid
+                - self.half_v[n0:n0 + m, :, None] * self.grid_sq)
 
 
-def _build_tables(prior: ChangePointPrior, models, mixing,
-                  cap: int) -> ConfigTables:
+@dataclass(frozen=True)
+class ConfigTables(StreamTables):
+    """``StreamTables`` plus the model and mixing objects they were built
+    from, ``lp``, the merged prior log-pmf of k = 0..cap-1, and
+    ``log_survivor``, log P(nu >= n) for n = 1..cap."""
+
+    models: tuple
+    mixing: tuple
+    lp: np.ndarray            # (cap,)
+    log_survivor: np.ndarray  # (cap,)
+
+
+def stream_tables(models: Sequence[ARGaussianSignal],
+                  mixing: Sequence[MixingMeasure], cap: int) -> StreamTables:
+    """The tables of ``models``, one mixing measure each, for cap steps."""
     n_streams = len(models)
     width = max(m.grid.size for m in mixing)
     grid = np.empty((n_streams, width))
@@ -263,15 +290,16 @@ def _build_tables(prior: ChangePointPrior, models, mixing,
     half_v = sw * sw
     half_v /= s2
     half_v *= 0.5
-    tables = ConfigTables(
-        models=tuple(models), mixing=tuple(mixing), grid=grid, logw=logw,
-        grid_sq=grid ** 2, ar=ar, s2=s2, lp=prior.log_pmf_head_merged(cap),
-        log_survivor=prior.log_survivor(np.arange(1, cap + 1)), sw=sw,
-        half_v=half_v)
-    for a in vars(tables).values():
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return tables
+    return StreamTables(grid=grid, logw=logw, grid_sq=grid ** 2, ar=ar,
+                        s2=s2, sw=sw, half_v=half_v)
+
+
+def _build_tables(prior: ChangePointPrior, models, mixing,
+                  cap: int) -> ConfigTables:
+    return ConfigTables(
+        **vars(stream_tables(models, mixing, cap)), models=tuple(models),
+        mixing=tuple(mixing), lp=prior.log_pmf_head_merged(cap),
+        log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
 
 
 # one entry per prior, dropped with it: the trials of a campaign share one
@@ -433,17 +461,10 @@ class Detector:
             self._slide(n0, m)
         b = self._base
         tab = self.tables
-        # the coefficients of ``llr_coefficients`` for every step and stream;
-        # the first ``order`` whitened values only re-read the history
-        order = self._history.shape[1]
         hist = np.concatenate((self._history, block), axis=1)
-        xt = whiten(hist, tab.ar)[:, order:].T
-        u = tab.sw[n0:n0 + m] * xt / tab.s2
         self._history = hist[:, m:]
-        inc = (u[:, :, None] * tab.grid
-               - tab.half_v[n0:n0 + m, :, None] * tab.grid_sq)
         cumz = self._cumz[n0 - b:n0 + m + 1 - b]
-        cumz[1:] = inc
+        cumz[1:] = tab.increments(n0, hist)
         np.add.accumulate(cumz, axis=0, out=cumz)
         # candidate k = n joins the window [n + 1 - L, n] at step n + 1; its
         # chunk starts at n - c (c = n mod L), and the rest of the window is

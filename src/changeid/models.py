@@ -1,14 +1,11 @@
-"""Stream observation model and log-likelihood-ratio increments.
+"""Stream observation model, its whitening filter and path simulation.
 
 One model is shipped: ``ARGaussianSignal``, a deterministic signal of
 unknown amplitude theta appearing in stable AR(p) Gaussian noise.
 Whitening by the AR coefficients reduces the LLR to a weighted Gaussian
-form.  Its defaults -- AR order 0 and the unit signal S_t = 1 -- are the
+form, whose increments the engine computes (``StreamTables.increments``).
+Its defaults -- AR order 0 and the unit signal S_t = 1 -- are the
 i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
-
-The per-step LLR increment is linear-quadratic in theta:
-inc = theta*u_t - theta^2*v_t/2 with per-step coefficients u_t, v_t
-depending only on the observations.
 """
 from __future__ import annotations
 
@@ -81,8 +78,8 @@ class ARGaussianSignal:
 
     ``ARGaussianSignal(theta_min, theta_max, sigma)`` is the i.i.d. mean
     shift: N(0, sigma^2) pre-change, N(theta, sigma^2) post-change.  The
-    engine reads ``sigma``, ``ar_coeffs`` and ``signal_values`` to compute
-    the increments of ``llr_coefficients`` a block of steps at a time.
+    model describes the stream; the engine reads ``sigma``, ``ar_coeffs``
+    and ``signal_values`` to compute its LLR increments.
     """
 
     theta_min: float
@@ -107,21 +104,6 @@ class ARGaussianSignal:
 
     def signal_values(self, horizon: int) -> np.ndarray:
         return self.signal.values(horizon)
-
-    def llr_coefficients(self, observations: np.ndarray):
-        """Per-step coefficients (u, v) with increment theta*u - theta^2*v/2."""
-        s2 = self.sigma ** 2
-        st = whiten(self.signal_values(observations.size), self.ar_coeffs)
-        xt = whiten(observations, self.ar_coeffs)
-        return st * xt / s2, st ** 2 / s2
-
-    def llr_increments(self, observations, thetas) -> np.ndarray:
-        """Matrix of increments log L_{theta}(t), shape (T, len(thetas))."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        for th in thetas:
-            self._check_theta(th)
-        u, v = self.llr_coefficients(np.asarray(observations, dtype=float))
-        return np.outer(u, thetas) - 0.5 * np.outer(v, thetas ** 2)
 
     def sample_noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
         burn = 1000 if self.stationary_init else 0

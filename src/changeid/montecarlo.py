@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import MixingMeasure
-from .models import ARGaussianSignal, simulate
+from .engine import MixingMeasure, stream_tables
+from .models import ARGaussianSignal, ModelError, simulate
 from .prior import ChangePointPrior
 from .rule import ThresholdMatrix, Verdict, run
 
@@ -135,7 +135,8 @@ def run_change_batch(plan: ExperimentPlan, models: Sequence[ARGaussianSignal],
     """
     if not 1 <= stream <= len(models):
         raise ValueError(f"stream must be in 1..{len(models)}")
-    tag = f"change:s{stream}:theta={theta!r}:nu={'prior' if nu is None else int(nu)}"
+    tag = (f"change:s{stream}:theta={float(theta)!r}:"
+           f"nu={'prior' if nu is None else int(nu)}")
     return _run_batch(plan, models, prior, mixing, thresholds,
                       tag=tag, stream=stream, theta=theta, nu=nu)
 
@@ -273,26 +274,34 @@ def validate_conditions(models: Sequence[ARGaussianSignal],
     For each model and theta, simulates post-change paths (change at 0) and
     reports the mean of lambda(0, n)/n against the information rate, plus a
     pre-change sign check (the drift under no change must be negative).
-    Rows whose relative deviation exceeds ``tolerance`` are flagged.
+    Rows whose relative deviation exceeds ``tolerance`` are flagged.  A
+    theta with information number 0 raises ``ModelError``.
     """
     rows = []
     for s, model in enumerate(models, start=1):
-        for theta in thetas:
+        for theta in map(float, thetas):
             target = model.info_number(theta)
+            if target == 0.0:
+                raise ModelError(f"stream {s}: information number is 0 at "
+                                 f"theta={theta:g}, so there is no drift to check")
             for n in n_values:
+                # the detector's increments on a one-point grid at theta
+                tab = stream_tables([model], [MixingMeasure([theta], [1.0])], n)
+                sig = theta * model.signal_values(n)
+                hist = np.zeros((1, tab.ar.shape[1] + n))
                 post = np.empty(n_paths)
                 pre = np.empty(n_paths)
                 for p in range(n_paths):
                     rng = np.random.default_rng(
                         (master_seed, _batch_id(f"slln:s{s}:theta={theta!r}:n={n}"), p))
-                    noise = model.sample_noise(n, rng)
-                    sig = theta * model.signal_values(n)
-                    post[p] = np.sum(model.llr_increments(noise + sig, [theta])) / n
-                    pre[p] = np.sum(model.llr_increments(noise, [theta])) / n
+                    hist[0, -n:] = model.sample_noise(n, rng)
+                    pre[p] = np.sum(tab.increments(0, hist)) / n
+                    hist[0, -n:] += sig
+                    post[p] = np.sum(tab.increments(0, hist)) / n
                 rate = float(np.mean(post))
                 rel = abs(rate - target) / target
                 rows.append({
-                    "stream": s, "theta": float(theta), "n": int(n),
+                    "stream": s, "theta": theta, "n": int(n),
                     "mean_rate": rate, "target": target,
                     "relative_deviation": rel,
                     "pre_change_rate": float(np.mean(pre)),

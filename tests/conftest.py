@@ -4,6 +4,8 @@ The oracle recomputes every statistic from first principles: per-step log
 density ratios via scipy's normal logpdf, explicit products over all
 candidate change points k and grid parameters, and logsumexp reduction.
 It shares no code path with the incremental engine.
+``oracle_llr_increments`` is the AR innovation form of the same ratio,
+whitened by scipy's FIR filter.
 
 ``oracle_read_data_csv`` is the data-CSV reader that checks one row at a
 time with Python's ``int`` and ``float``; the CLI's table reader must give
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -32,6 +35,23 @@ def oracle_llr_table(x, grid, sigma=1.0, signal=None):
     csum = np.vstack([np.zeros(len(grid)), np.cumsum(inc, axis=0)])
     # log LR(k, n) = csum[n] - csum[k]
     return csum[n] - csum[:n]
+
+
+def oracle_llr_increments(model, x, thetas):
+    """log L_theta(t) of an AR Gaussian signal stream, shape (T, len(thetas)):
+    entry [t, g] = log phi_sigma(x~_t - theta_g S~_t) - log phi_sigma(x~_t),
+    with the observations x~ and the signal S~ whitened from rest by
+    scipy's FIR filter 1 - c_1 z^-1 - ... - c_p z^-p."""
+    x = np.asarray(x, dtype=float)
+    t = np.arange(1, x.size + 1)
+    sig = model.signal
+    s = sig.amplitude * (np.sin(sig.omega * t + sig.phase)
+                         if hasattr(sig, "omega") else np.ones(x.size))
+    fir = np.concatenate(([1.0], -np.asarray(model.ar_coeffs, dtype=float)))
+    xt, st = lfilter(fir, [1.0], x), lfilter(fir, [1.0], s)
+    loc = st[:, None] * np.asarray(thetas, dtype=float)[None, :]
+    return (norm.logpdf(xt[:, None], loc=loc, scale=model.sigma)
+            - norm.logpdf(xt[:, None], loc=0.0, scale=model.sigma))
 
 
 def oracle_frame(obs, prior, grids, weights, n, sigma=1.0, window=None,

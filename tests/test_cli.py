@@ -475,6 +475,34 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_theta_points_default_to_the_grid_ends(self, config_path,
+                                                   tmp_path):
+        # the grid's ends are numpy floats; the paths drawn for a theta
+        # must not depend on its type
+        diagnostics = []
+        for name, points in (("ends", [0.25, 2.0]), ("default", [])):
+            out = tmp_path / name
+            main(["validate", "--config",
+                  config_path({"trials": 20, "theta_points": points}),
+                  "--out", str(out)])
+            report = json.loads((out / "report.json").read_text())
+            diagnostics.append(report["diagnostics"])
+        assert len(diagnostics[0]) == 8
+        assert diagnostics[1] == diagnostics[0]
+
+    @pytest.mark.parametrize("model", [
+        {"signal": {"kind": "constant", "amplitude": 0.0}},
+        {"ar_coeffs": [1.0]},
+    ], ids=["zero_signal", "unit_root"])
+    def test_zero_information_exit_2(self, config_path, capsys, model):
+        models = [dict(BASE_CONFIG["models"][0], kind="ar_gaussian", **model),
+                  BASE_CONFIG["models"][1]]
+        path = config_path({"models": models, "trials": 5})
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: stream 1: information number is 0 at "
+                       "theta=1, so there is no drift to check\n")
+
 
 class TestReport:
     def test_summarizes_saved_report(self, config_path, tmp_path, capsys):

@@ -11,7 +11,7 @@ from scipy.special import logsumexp
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, EngineError, MixingMeasure, SineSignal,
                       engine, posterior_no_change)
-from conftest import oracle_frame
+from conftest import oracle_frame, oracle_llr_increments
 
 
 def make_setup(n_streams=2, grid_pts=5, q=0.0, rho=0.1):
@@ -87,7 +87,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("window", [None, 4])
     def test_ar_order_two_matches_llr_increments(self, rng, window):
-        # the engine's carried AR history against the model's own whitening;
+        # the engine's carried AR history against scipy's whitening;
         # 2 x 48 entries a row take the engine's row-by-row scan
         prior = ChangePointPrior.geometric(0.1)
         models = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.3),
@@ -97,7 +97,7 @@ class TestOracleEquivalence:
             mix = MixingMeasure.uniform(0.25, 2.0, grid_pts)
             obs = rng.standard_normal((2, 30))
             cum = [np.vstack([np.zeros((1, grid_pts)), np.cumsum(
-                m.llr_increments(obs[s], mix.grid), axis=0)])
+                oracle_llr_increments(m, obs[s], mix.grid), axis=0)])
                 for s, m in enumerate(models)]
             lp = prior.log_pmf_head_merged(30)
             det = Detector(prior, models, mix, window=window)

@@ -6,7 +6,17 @@ from scipy.stats import norm
 
 from changeid import (ARGaussianSignal, ChangePointPrior, ConstantSignal,
                       Detector, MixingMeasure, ModelError,
-                      SineSignal, simulate, whiten)
+                      SineSignal, simulate, validate_conditions, whiten)
+from changeid.engine import stream_tables
+from conftest import oracle_llr_increments
+
+
+def engine_increments(model, x, theta):
+    """The detector's increments of one stream at theta, from rest."""
+    order = len(model.ar_coeffs)
+    tab = stream_tables([model], [MixingMeasure([theta], [1.0])], x.size)
+    hist = np.concatenate((np.zeros(order), x))[None]
+    return tab.increments(0, hist)[:, 0, 0]
 
 
 class TestWhiten:
@@ -58,7 +68,7 @@ class TestMeanShiftDefaults:
         model = ARGaussianSignal(0.1, 3.0, sigma=1.5)
         x = rng.standard_normal(20) * 1.5
         for theta in (0.5, 2.0):
-            got = model.llr_increments(x, [theta])[:, 0]
+            got = engine_increments(model, x, theta)
             want = norm.logpdf(x, theta, 1.5) - norm.logpdf(x, 0.0, 1.5)
             np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -72,7 +82,8 @@ class TestMeanShiftDefaults:
     def test_theta_out_of_range(self):
         model = ARGaussianSignal(0.25, 2.0)
         with pytest.raises(ModelError):
-            model.llr_increments(np.zeros(3), [3.0])
+            validate_conditions([model], [3.0], master_seed=0, n_paths=1,
+                                n_values=(3,))
         with pytest.raises(ModelError):
             model.info_number(0.1)
 
@@ -101,7 +112,7 @@ class TestARGaussianSignal:
         xt = whiten(x, [0.4, 0.1])
         st = whiten(np.ones(30), [0.4, 0.1])
         want = norm.logpdf(xt, theta * st, 1.3) - norm.logpdf(xt, 0.0, 1.3)
-        got = model.llr_increments(x, [theta])[:, 0]
+        got = engine_increments(model, x, theta)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_sine_signal_energy_numeric(self):
@@ -123,7 +134,7 @@ class TestARGaussianSignal:
                               signal=SineSignal(omega=0.7)),
                   ARGaussianSignal(0.25, 2.0, sigma=0.8)]
         x = rng.standard_normal((2, 10))
-        batch = np.stack([m.llr_increments(x[s], [1.0])[:, 0]
+        batch = np.stack([oracle_llr_increments(m, x[s], [1.0])[:, 0]
                           for s, m in enumerate(models)], axis=1)
         prior = ChangePointPrior.geometric(0.1)
         one_point = MixingMeasure(grid=np.array([1.0]), weights=np.array([1.0]))

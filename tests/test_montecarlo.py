@@ -9,7 +9,8 @@ from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       MixingMeasure, MonteCarloError, RiskReport,
                       TrialOutcome, calibrate, clopper_pearson_upper,
                       estimate_delay, estimate_pfa, estimate_pmi,
-                      run_change_batch, run_null_batch, validate_conditions)
+                      SineSignal, run_change_batch, run_null_batch,
+                      validate_conditions)
 
 
 def outcome(idx, stopped=True, time=1, stream=1, nu=-1, true_stream=0,
@@ -222,6 +223,19 @@ class TestValidateConditions:
         row = rows[0]
         assert row["target"] == pytest.approx(0.5)
         assert row["mean_rate"] == pytest.approx(0.5, abs=0.05)
+        assert row["pre_change_negative"]
+        assert row["ok"]
+
+    def test_ar_sine_rate(self):
+        # a time-varying signal checks that the increments read the
+        # whitened signal at the observations' own times
+        models = [ARGaussianSignal(0.25, 2.0, sigma=1.3, ar_coeffs=(0.4, 0.1),
+                                   signal=SineSignal(0.7))]
+        rows = validate_conditions(models, [1.0], master_seed=0,
+                                   n_paths=50, n_values=(2000,))
+        row = rows[0]
+        assert row["target"] == pytest.approx(models[0].info_number(1.0))
+        assert row["relative_deviation"] <= 0.05
         assert row["pre_change_negative"]
         assert row["ok"]
 
