@@ -125,22 +125,20 @@ def cmd_calibrate(args) -> int:
 def _read_data_csv(path: str, n_streams: int) -> np.ndarray:
     """The observations of a data CSV as a C-contiguous (N, T) array.
 
-    A well-formed file is parsed in one ``np.loadtxt`` call.  Any other
-    file is walked row by row, which accepts every cell Python's
-    ``int``/``float`` accept and names the first bad row.
+    The file is read once, as bytes.  A well-formed ASCII file is parsed
+    in one ``np.loadtxt`` call.  Any other file is decoded as UTF-8 and
+    walked row by row, which accepts every cell Python's ``int``/``float``
+    accept and names the first bad row; an undecodable byte, read as
+    U+FFFD, fails its row.
     """
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        # the walk decodes as it reads, so it still names a bad row that
-        # comes before the undecodable bytes
-        text = None
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read data file: {exc}")
-    obs = None if text is None else _load_table(text, n_streams)
+    obs = _load_table(raw, n_streams)
     if obs is None:
-        obs = _walk_rows(path, n_streams, text)
+        obs = _walk_rows(raw.decode("utf-8", "replace"), n_streams, path)
     return np.ascontiguousarray(obs)
 
 
@@ -149,15 +147,13 @@ def _header(n_streams: int) -> list:
     return ["t"] + [f"stream_{i}" for i in range(1, n_streams + 1)]
 
 
-def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
+def _load_table(raw: bytes, n_streams: int) -> Optional[np.ndarray]:
     """The (N, T) observations when an ASCII file's body parses in one
     ``np.loadtxt`` call and passes the walk's checks as a table; None for
     any other file, which the walk then reads."""
     # numpy decodes the bytes it is given as latin-1, which gives back the
     # text only when the text is ASCII
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
+    if not raw.isascii():
         return None
     # with no lone "\r", every line ends at "\n", as it does for numpy, and
     # the header is the first line
@@ -188,45 +184,40 @@ def _load_table(text: str, n_streams: int) -> Optional[np.ndarray]:
     return table["x"].T
 
 
-def _walk_rows(path: str, n_streams: int, text: Optional[str]) -> np.ndarray:
-    """The observations read one csv row at a time from ``text``, or from
-    the file when it did not decode; raises ConfigError at the first bad
-    row.  Like ``np.loadtxt``, the walk takes a cell of any length, so a
-    file reads the same whatever its line endings."""
+def _walk_rows(text: str, n_streams: int, path: str) -> np.ndarray:
+    """The observations read one csv row at a time from the file's
+    ``text``; raises ConfigError at the first bad row.  Like
+    ``np.loadtxt``, the walk takes a cell of any length, so a file reads
+    the same whatever its line endings."""
     # the field size limit is process-wide: raised for this read only
     limit = csv.field_size_limit(_FIELD_LIMIT)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with (open(path, newline="") if text is None
-              else io.StringIO(text, newline="")) as fh:
-            reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"data file {path} is empty")
+        expected = _header(n_streams)
+        if [h.strip() for h in header] != expected:
+            raise ConfigError(
+                f"data header must be {','.join(expected)}, got {','.join(header)}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != n_streams + 1:
+                raise ConfigError(f"row {lineno}: expected {n_streams + 1} cells")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigError(f"data file {path} is empty")
-            expected = _header(n_streams)
-            if [h.strip() for h in header] != expected:
+                t = int(row[0])
+                vals = [float(c) for c in row[1:]]
+            except ValueError:
+                raise ConfigError(f"row {lineno}: non-numeric cell")
+            if any(math.isnan(v) or math.isinf(v) for v in vals):
+                raise ConfigError(f"row {lineno}: non-finite observation")
+            if t != lineno - 1:
                 raise ConfigError(
-                    f"data header must be {','.join(expected)}, got {','.join(header)}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != n_streams + 1:
-                    raise ConfigError(f"row {lineno}: expected {n_streams + 1} cells")
-                try:
-                    t = int(row[0])
-                    vals = [float(c) for c in row[1:]]
-                except ValueError:
-                    raise ConfigError(f"row {lineno}: non-numeric cell")
-                if any(math.isnan(v) or math.isinf(v) for v in vals):
-                    raise ConfigError(f"row {lineno}: non-finite observation")
-                if t != lineno - 1:
-                    raise ConfigError(
-                        f"row {lineno}: time index must be {lineno - 1}, got {t}")
-                rows.append(vals)
+                    f"row {lineno}: time index must be {lineno - 1}, got {t}")
+            rows.append(vals)
     except csv.Error as exc:
         # a cell longer than _FIELD_LIMIT characters
         raise ConfigError(f"line {reader.line_num}: {exc}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file: {exc}")
     finally:
         csv.field_size_limit(limit)
     if not rows:
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="information-rate diagnostics")
-    _add_config(p, "seed", "trials", "window", "out")
+    _add_config(p, "seed", "trials", "out")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="summarize a saved risk report")

@@ -88,10 +88,14 @@ def _kind(section: dict, table: dict, default, what: str) -> str:
 
 
 def _number(value, what: str) -> float:
-    """A config number; a YAML bool is rejected, not read as 0 or 1."""
+    """A finite config number; a YAML bool is rejected, not read as 0 or 1,
+    and so are .nan and .inf."""
     if isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, what: str) -> int:
@@ -121,12 +125,17 @@ def _numbers(value, what: str) -> list:
 
 def _log_a(value) -> list:
     """An explicit log-threshold matrix: rows of config numbers, with null
-    allowed only on the own-stream entries (i, i)."""
+    and .nan allowed only on the own-stream entries (i, i)."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise ConfigError(f"log_a must be a list of rows, got {value!r}")
-    return [[math.nan if v is None and j == i + 1 else _number(v, "log_a")
+    return [[math.nan if j == i + 1 and (v is None or _is_nan(v))
+             else _number(v, "log_a")
              for j, v in enumerate(row)]
             for i, row in enumerate(value)]
+
+
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and math.isnan(value)
 
 
 # the least value of each plan key; None (full mode) is a valid window

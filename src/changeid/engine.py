@@ -122,9 +122,12 @@ class MixingMeasure:
         object.__setattr__(self, "weights", weights)
         if grid.ndim != 1 or grid.size == 0 or grid.shape != weights.shape:
             raise EngineError("grid and weights must be matching nonempty 1-d arrays")
+        if not np.all(np.isfinite(grid)):
+            raise EngineError("grid points must be finite")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise EngineError("grid must be strictly increasing")
-        if np.any(weights < 0):
+        # a NaN weight compares false and fails this check
+        if not np.all(weights >= 0):
             raise EngineError("weights must be nonnegative")
         if abs(math.fsum(weights.tolist()) - 1.0) > _WEIGHT_TOL:
             raise EngineError("weights must sum to 1 within 1e-12")
@@ -144,7 +147,7 @@ class MixingMeasure:
     def gaussian(cls, theta_min: float, theta_max: float, count: int, v: float,
                  spacing: str = "linear") -> "MixingMeasure":
         """Half-normal weights w_g ~ phi(theta_g / v) * cell width."""
-        if v <= 0:
+        if not v > 0:
             raise EngineError(f"gaussian weight scale must be positive, got {v}")
         grid = cls._make_grid(theta_min, theta_max, count, spacing)
         if count == 1:

@@ -90,11 +90,13 @@ class ARGaussianSignal:
     stationary_init: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ModelError(f"sigma must be positive, got {self.sigma}")
-        if not (0 < self.theta_min <= self.theta_max):
-            raise ModelError("need 0 < theta_min <= theta_max")
+        if not 0 < self.sigma < np.inf:
+            raise ModelError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (0 < self.theta_min <= self.theta_max < np.inf):
+            raise ModelError("need 0 < theta_min <= theta_max < inf")
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
+        if not np.all(np.isfinite(self.ar_coeffs)):
+            raise ModelError(f"AR coefficients must be finite, got {self.ar_coeffs}")
 
     def _check_theta(self, theta: float) -> None:
         if not (self.theta_min <= theta <= self.theta_max):

@@ -47,8 +47,9 @@ class ChangePointPrior:
         elif kind == self.DISCRETE_WEIBULL:
             if kappa is None or not 0.0 < kappa <= 1.0:
                 raise PriorError(f"weibull shape must be in (0, 1], got {kappa}")
-            if scale is None or scale <= 0.0:
-                raise PriorError(f"weibull scale must be positive, got {scale}")
+            if scale is None or not 0.0 < scale < math.inf:
+                raise PriorError(
+                    f"weibull scale must be positive and finite, got {scale}")
         elif kind == self.EXPLICIT:
             if probs is None:
                 raise PriorError("explicit_pmf prior needs a probability table")

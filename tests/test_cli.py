@@ -200,6 +200,26 @@ class TestCalibrate:
                      id="threads_zero"),
         pytest.param({"window": 0}, "error: window must be >= 1\n",
                      id="window_zero"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 8,
+                                 "weights": "gaussian", "v": float("nan")}},
+                     "error: invalid mixing grid: v must be a finite number, "
+                     "got nan\n", id="mixing_v_nan"),
+        pytest.param({"models": [{"kind": "gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0, "sigma": float("nan")}] * 2},
+                     "error: stream 1: sigma must be a finite number, got nan\n",
+                     id="sigma_nan"),
+        pytest.param({"prior": {"kind": "discrete_weibull", "kappa": 0.5,
+                                "scale": float("inf")}},
+                     "error: invalid prior: scale must be a finite number, "
+                     "got inf\n", id="weibull_scale_inf"),
+        pytest.param({"models": [{"kind": "ar_gaussian", "theta_min": 0.25,
+                                  "theta_max": 2.0,
+                                  "signal": {"amplitude": float("nan")}}] * 2},
+                     "error: stream 1: amplitude must be a finite number, "
+                     "got nan\n", id="amplitude_nan"),
+        pytest.param({"theta_points": [float("nan")]},
+                     "error: invalid config: theta_points must be a finite "
+                     "number, got nan\n", id="theta_points_nan"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):
@@ -286,12 +306,21 @@ class TestDetect:
         ("1,0.5,1e400\n", "row 2: non-finite observation"),
         ("1,nan,0.2\n2,0.1\n", "row 2: non-finite observation"),
         ("", "has a header but no rows"),
+        # "\udcff" is written as the undecodable byte 0xff
+        ("1,0.5,0.2\n2,0.1,0.\udcff3\n", "row 3: non-numeric cell"),
+        ("t,stream_\udcff1,stream_2\n1,0.5,0.2\n",
+         "data header must be t,stream_1,stream_2, got t,stream_"),
+        ("1,0.5,0.2\n2,0.1\n3,\udcff,0.2\n", "row 3: expected 3 cells"),
     ], ids=["blank_mid", "blank_end", "float_t", "t_gap", "extra_cell",
-            "short_row", "inf", "overflow", "first_bad_row_wins", "header_only"])
+            "short_row", "inf", "overflow", "first_bad_row_wins", "header_only",
+            "undecodable_cell", "undecodable_header",
+            "bad_row_before_undecodable"])
     def test_bad_row_named_exit_2(self, config_path, tmp_path, capsys, body,
                                   message):
+        # a body that starts with a header line replaces the good one
+        text = body if body.startswith("t,") else "t,stream_1,stream_2\n" + body
         data = tmp_path / "bad.csv"
-        data.write_text("t,stream_1,stream_2\n" + body)
+        data.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert main(["detect", "--config", config_path(), str(data)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -418,17 +447,21 @@ class TestDataIngest:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_bad_row_in_a_pipe_named(self, config_path, capsys):
         # a pipe can be read only once, so the row walk reads what the
-        # table reader read
-        read_end, write_end = os.pipe()
-        with os.fdopen(write_end, "wb") as fh:
-            fh.write(b"t,stream_1,stream_2\n1,0.5,0.2\n2,0.1\n")
-        try:
-            code = main(["detect", "--config", config_path(),
-                         f"/dev/fd/{read_end}"])
-        finally:
-            os.close(read_end)
-        assert code == 2
-        assert "row 3: expected 3 cells" in capsys.readouterr().err
+        # table reader read; an undecodable byte fails only its own row
+        for body, message in [
+                (b"2,0.1\n", "row 3: expected 3 cells"),
+                (b"2,0.1\n3,\xff,0.2\n", "row 3: expected 3 cells"),
+                (b"2,\xff,0.1\n", "row 3: non-numeric cell")]:
+            read_end, write_end = os.pipe()
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(b"t,stream_1,stream_2\n1,0.5,0.2\n" + body)
+            try:
+                code = main(["detect", "--config", config_path(),
+                             f"/dev/fd/{read_end}"])
+            finally:
+                os.close(read_end)
+            assert code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -550,7 +583,7 @@ class TestCommandLine:
         ("calibrate", "--seed"), ("calibrate", "--trials"),
         ("calibrate", "--threads"), ("calibrate", "--window"),
         ("detect", "--seed"), ("detect", "--trials"), ("detect", "--threads"),
-        ("validate", "--threads")])
+        ("validate", "--threads"), ("validate", "--window")])
     def test_flag_the_command_does_not_read_exit_2(self, config_path,
                                                    tmp_path, capsys, command,
                                                    flag):
@@ -574,7 +607,6 @@ class TestRangeChecks:
         ("simulate", "--threads", "0", "threads must be >= 1"),
         ("detect", "--window", "0", "window must be >= 1"),
         ("simulate", "--window", "0", "window must be >= 1"),
-        ("validate", "--window", "-1", "window must be >= 1"),
     ])
     def test_out_of_range_flag_exit_2_before_any_build(
             self, config_path, tmp_path, capsys, monkeypatch, command, flag,
@@ -590,11 +622,17 @@ class TestRangeChecks:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_flags_override_out_of_range_config_values(self, config_path,
-                                                       capsys):
-        path = config_path({"trials": 0, "seed": -1, "window": 0})
+                                                       tmp_path, capsys):
+        path = config_path({"trials": 0, "seed": -1})
         assert main(["validate", "--config", path, "--trials", "30",
-                     "--seed", "11", "--window", "5"]) == 0
+                     "--seed", "11"]) == 0
         assert "PASS" in capsys.readouterr().out
+        data = tmp_path / "data.csv"
+        write_data_csv(data, np.zeros((2, 5)))
+        path = config_path({"window": 0}, name="window.yaml")
+        assert main(["detect", "--config", path, "--window", "5",
+                     str(data)]) == 3
+        assert json.loads(capsys.readouterr().out)["stopped"] is False
 
 
 class TestImportFootprint:

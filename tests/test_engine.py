@@ -44,6 +44,15 @@ class TestMixingMeasure:
         with pytest.raises(EngineError):
             MixingMeasure(grid=np.array([0.5, 1.0]), weights=np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("grid, weights", [
+        ([1.0, 2.0], [math.nan, math.nan]),
+        ([math.nan], [1.0]),
+        ([1.0, math.inf], [0.5, 0.5]),
+    ], ids=["nan_weights", "nan_single_point", "inf_grid_point"])
+    def test_non_finite_rejected(self, grid, weights):
+        with pytest.raises(EngineError):
+            MixingMeasure(grid=grid, weights=weights)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("q,window", [(0.0, None), (0.2, None), (0.0, 7),

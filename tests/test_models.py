@@ -95,6 +95,14 @@ class TestARGaussianSignal:
         defaults.update(kw)
         return ARGaussianSignal(**defaults)
 
+    @pytest.mark.parametrize("kw", [
+        dict(sigma=math.nan), dict(sigma=math.inf), dict(ar_coeffs=(math.nan,)),
+        dict(ar_coeffs=(0.5, math.inf)), dict(theta_max=math.inf)],
+        ids=["sigma_nan", "sigma_inf", "ar_nan", "ar_inf", "theta_max_inf"])
+    def test_non_finite_parameter_rejected(self, kw):
+        with pytest.raises(ModelError):
+            self._model(**kw)
+
     def test_whitened_energy_constant_signal(self):
         # Q = (a (1 - sum rho))^2 for a constant signal
         assert self._model().whitened_energy() == pytest.approx(0.25)

@@ -54,6 +54,11 @@ class TestDiscreteWeibull:
             assert prior.pmf(k) == pytest.approx(
                 prior.survivor(k) - prior.survivor(k + 1), abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(PriorError):
+            ChangePointPrior.discrete_weibull(0.5, scale)
+
     def test_log_pmf_no_cancellation_in_far_tail(self):
         prior = ChangePointPrior.discrete_weibull(1.0, 2.0)
         lp = float(prior.log_pmf(np.array([500]))[0])
