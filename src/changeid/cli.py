@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -242,20 +243,26 @@ def cmd_detect(args) -> int:
 
 
 def _plan_dict(cfg: RunConfig) -> dict:
-    # worker count affects scheduling only, never results, so it is not
-    # part of the reproducibility record
-    return {
-        "trials": cfg.trials, "horizon": cfg.horizon, "seed": cfg.seed,
-        "window": cfg.window,
-        "theta_points": list(cfg.theta_points),
-        "change_stream": cfg.change_stream,
-        "prior": cfg.prior, "models": cfg.models, "mixing": cfg.mixing,
-        "targets": {k: v for k, v in cfg.targets.items()},
-    }
+    plan = dataclasses.asdict(cfg)
+    # worker count affects scheduling only and the output directory only
+    # where the report goes, never results, so neither is part of the
+    # reproducibility record
+    del plan["threads"], plan["out"]
+    return plan
 
 
 def cmd_simulate(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
+    stream = cfg.change_stream
+    # checked here, not in ``_load``: calibrate reports a null delay scale
+    # for a stream whose interval excludes a theta
+    model = models[stream - 1]
+    for theta in cfg.theta_points:
+        if not model.theta_min <= theta <= model.theta_max:
+            raise ConfigError(
+                f"theta_points: {theta:g} outside change_stream {stream}'s "
+                f"parameter interval [{model.theta_min:g}, "
+                f"{model.theta_max:g}]")
     plan = ExperimentPlan(n_trials=cfg.trials, horizon=cfg.horizon,
                           master_seed=cfg.seed, window=cfg.window,
                           threads=cfg.threads)
@@ -268,7 +275,6 @@ def cmd_simulate(args) -> int:
                                          horizon=cfg.horizon)
     change_trials = 0
     change_censored = 0
-    stream = cfg.change_stream
     for theta in cfg.theta_points:
         outcomes = montecarlo.run_change_batch(plan, models, prior, mixing,
                                                thresholds, stream, theta)

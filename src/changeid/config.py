@@ -48,6 +48,7 @@ class RunConfig:
 
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)}
+_SECTIONS = ("prior", "models", "mixing")
 
 
 def _mapping(value, what: str) -> dict:
@@ -138,8 +139,19 @@ def _is_nan(value) -> bool:
     return isinstance(value, float) and math.isnan(value)
 
 
-# the least value of each plan key; None (full mode) is a valid window
-_LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1}
+# the least value of each plan integer; None (full mode) is a valid window
+_LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1,
+          "change_stream": 1}
+
+
+def _plan_value(key: str, value):
+    """Plan key ``key``'s value as the file gives it, parsed; ``out`` is
+    checked before the plan is parsed."""
+    if key in _LEAST and not (key == "window" and value is None):
+        return _integer(value, key)
+    if key == "theta_points":
+        return _numbers(value, key)
+    return _mapping(value or {}, key) if key == "targets" else value
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
@@ -157,7 +169,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section in ("prior", "models", "mixing"):
+    for section in _SECTIONS:
         if section not in raw:
             raise ConfigError(f"config is missing required section {section!r}")
     models = raw["models"]
@@ -167,22 +179,13 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a directory path, got {out!r}")
     try:
+        # the plan keys the file leaves out keep RunConfig's defaults
         cfg = RunConfig(
             prior=_mapping(raw["prior"], "prior"),
             models=[_mapping(m, "each models entry") for m in models],
             mixing=_mapping(raw["mixing"], "mixing"),
-            targets=_mapping(raw.get("targets") or {}, "targets"),
-            horizon=_integer(raw.get("horizon", 1000), "horizon"),
-            trials=_integer(raw.get("trials", 100), "trials"),
-            seed=_integer(raw.get("seed", 0), "seed"),
-            threads=_integer(raw.get("threads", 1), "threads"),
-            window=(None if raw.get("window") is None
-                    else _integer(raw["window"], "window")),
-            theta_points=_numbers(raw.get("theta_points", []), "theta_points"),
-            change_stream=_integer(raw.get("change_stream", 1),
-                                   "change_stream"),
-            out=out,
-        )
+            **{key: _plan_value(key, value) for key, value in raw.items()
+               if key not in _SECTIONS})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}")
     for key, value in (overrides or {}).items():
@@ -191,6 +194,8 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         value = getattr(cfg, key)
         if value is not None and value < least:
             raise ConfigError(f"{key} must be >= {least}")
+    if cfg.change_stream > cfg.n_streams:
+        raise ConfigError(f"change_stream must be <= {cfg.n_streams}")
     return cfg
 
 

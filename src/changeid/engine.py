@@ -43,10 +43,10 @@ less than a dispatch per row.  Both paths give the same bits.
 
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
-and v/2) are built once and shared, read-only, by every detector with the
-same prior, model and mixing objects and the same capacity: a Monte Carlo
-campaign builds them once, not once per trial.  They are dropped with the
-prior object.
+and v/2) are built once, for at least the capacity asked for, and shared,
+read-only, by every detector with the same prior, model and mixing objects
+whose capacity they cover: a Monte Carlo campaign builds them once, not
+once per trial.  They only grow, and are dropped with the prior object.
 
 The head mass pi_{-1} is folded into k = 0 because both candidates share
 the same likelihood ratio.
@@ -210,7 +210,10 @@ def log_ratio_matrix(log_mix: np.ndarray,
     den = np.empty(log_sup.shape[:-1] + (n + 1,))
     den[..., 0] = log_survivor
     den[..., 1:] = log_sup
-    ratio = log_mix[..., :, None] - den[..., None, :]
+    # -inf - -inf (a window or survivor without prior mass) is a NaN
+    # ratio, which never passes
+    with np.errstate(invalid="ignore"):
+        ratio = log_mix[..., :, None] - den[..., None, :]
     ratio[..., own_entries(n)] = np.nan
     return ratio
 
@@ -297,14 +300,6 @@ def stream_tables(models: Sequence[ARGaussianSignal],
                         s2=s2, sw=sw, half_v=half_v)
 
 
-def _build_tables(prior: ChangePointPrior, models, mixing,
-                  cap: int) -> ConfigTables:
-    return ConfigTables(
-        **vars(stream_tables(models, mixing, cap)), models=tuple(models),
-        mixing=tuple(mixing), lp=prior.log_pmf_head_merged(cap),
-        log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
-
-
 # one entry per prior, dropped with it: the trials of a campaign share one
 # prior object, so its tables live as long as the campaign's config does
 _SHARED = weakref.WeakKeyDictionary()
@@ -316,14 +311,17 @@ def _same(objs: tuple, others) -> bool:
 
 def _shared_tables(prior: ChangePointPrior, models: Sequence[ARGaussianSignal],
                    mixing: Sequence[MixingMeasure], cap: int) -> ConfigTables:
-    """The tables for ``cap`` steps of one mixing measure per model, shared
-    by every caller that passes the same prior, model and mixing objects
-    and the same capacity; a call with other ones replaces the prior's
-    entry."""
+    """The tables for at least ``cap`` steps of one mixing measure per
+    model, shared by every caller that passes the same prior, model and
+    mixing objects and a capacity they cover; a larger capacity grows the
+    prior's entry, and other objects replace it."""
     tables = _SHARED.get(prior)
-    if (tables is None or tables.cap != cap or not _same(tables.models, models)
+    if (tables is None or tables.cap < cap or not _same(tables.models, models)
             or not _same(tables.mixing, mixing)):
-        tables = _build_tables(prior, models, mixing, cap)
+        tables = ConfigTables(
+            **vars(stream_tables(models, mixing, cap)), models=tuple(models),
+            mixing=tuple(mixing), lp=prior.log_pmf_head_merged(cap),
+            log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
         _SHARED[prior] = tables
     return tables
 
@@ -349,9 +347,9 @@ class Detector:
     exact frame is worth computing.
 
     ``capacity`` is the number of steps to size for.  It sizes the per-step
-    tables, which double when a step runs past it; in full mode it also
-    sizes cumz, which in window mode depends only on the window and the
-    look-ahead blocks.
+    tables, which grow to at least twice their steps when a step runs past
+    them; in full mode it also sizes cumz, which in window mode depends
+    only on the window and the look-ahead blocks.
     """
 
     def __init__(self, prior: ChangePointPrior,
@@ -404,11 +402,15 @@ class Detector:
 
     @property
     def evicted_log_prior_mass(self) -> float:
-        """log of the merged prior mass currently outside the window."""
+        """log P(nu < s), the prior mass before the window start s."""
         s = self._window_start
         if s == 0:
             return -math.inf
-        return float(_lse(self.tables.lp[:s]))
+        x = float(self.prior.log_survivor(s))
+        # log(1 - e^x) without cancellation at either end (Maechler 2012,
+        # "Accurately computing log(1 - exp(-|a|))"); a survivor of 1 is log 0
+        return (math.log1p(-math.exp(x)) if x < -math.log(2.0)
+                else math.log(-math.expm1(x)) if x < 0 else -math.inf)
 
     # -- stepping --------------------------------------------------------
 
@@ -456,10 +458,9 @@ class Detector:
             block = block[:, :m]
         m = block.shape[1]
         n0 = self.n
-        while n0 + m > self.tables.cap:
-            # past its capacity a detector's per-step tables are its own
-            self.tables = _build_tables(self.prior, self.models, self.mixing,
-                                        2 * self.tables.cap)
+        if n0 + m > self.tables.cap:
+            self.tables = _shared_tables(self.prior, self.models, self.mixing,
+                                         max(n0 + m, 2 * self.tables.cap))
         if n0 + m - self._base >= len(self._cumz):
             self._slide(n0, m)
         b = self._base

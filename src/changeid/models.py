@@ -10,7 +10,7 @@ i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,9 +45,19 @@ def whiten(x: Sequence[float], coeffs: Sequence[float]) -> np.ndarray:
     return x - (coeffs[..., None, :] * lags).sum(axis=-1)
 
 
+def _check_finite(signal) -> None:
+    for f in fields(signal):
+        value = getattr(signal, f.name)
+        if not np.isfinite(value):
+            raise ModelError(f"signal {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ConstantSignal:
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def values(self, horizon: int) -> np.ndarray:
         """Signal values S_t for t = 1..horizon."""
@@ -59,6 +69,9 @@ class SineSignal:
     omega: float
     phase: float = 0.0
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def values(self, horizon: int) -> np.ndarray:
         t = np.arange(1, horizon + 1)
@@ -144,14 +157,6 @@ class TrialPath:
     true_nu: int                  # change point; ignored when true_stream == 0
     true_stream: int              # 0 = no change, else 1..N
     true_theta: float = 0.0
-
-    @property
-    def horizon(self) -> int:
-        return self.observations.shape[1]
-
-    @property
-    def n_streams(self) -> int:
-        return self.observations.shape[0]
 
 
 def simulate(models: Sequence[ARGaussianSignal], horizon: int, rng: np.random.Generator,

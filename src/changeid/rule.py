@@ -58,9 +58,19 @@ class ThresholdMatrix:
         return np.exp(self.log_a)
 
 
+def _outside_unit(a: np.ndarray) -> bool:
+    """Does some entry lie outside (0, 1)?  A NaN entry does."""
+    return not np.all((a > 0) & (a < 1))
+
+
+def _check_head_mass(head_mass: float) -> None:
+    if not 0.0 <= head_mass < 1.0:
+        raise CalibrationError(f"head mass must lie in [0, 1), got {head_mass}")
+
+
 def _as_alpha_vector(alpha, n: int) -> np.ndarray:
     a = np.broadcast_to(np.asarray(alpha, dtype=float), (n,)).copy()
-    if np.any((a <= 0) | (a >= 1)):
+    if _outside_unit(a):
         raise CalibrationError(f"false-alarm targets must lie in (0, 1), got {a}")
     return a
 
@@ -72,12 +82,13 @@ def calibrate(alpha, beta, n_streams: Optional[int] = None,
 
         A_i0 = (1 - alpha_i) / alpha_i,   A_ij = 1 / ((1 - alpha_j) beta_ji)
     """
+    _check_head_mass(head_mass)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     n = n_streams if n_streams is not None else alpha.size
     alpha = _as_alpha_vector(alpha, n)
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n, n)).copy()
     off = ~np.eye(n, dtype=bool)
-    if np.any((beta[off] <= 0) | (beta[off] >= 1)):
+    if _outside_unit(beta[off]):
         raise CalibrationError("misidentification targets must lie in (0, 1)")
     if np.max(alpha) >= 1.0 - head_mass:
         raise CalibrationError(
@@ -104,13 +115,14 @@ def calibrate_star(alpha: float, beta_bar, n_streams: int,
     n = int(n_streams)
     if n < 1:
         raise CalibrationError("need at least one stream")
+    _check_head_mass(head_mass)
     if not 0 < alpha < 1:
         raise CalibrationError(f"total false-alarm target must lie in (0, 1), got {alpha}")
     if alpha >= 1.0 - head_mass:
         raise CalibrationError(
             f"alpha {alpha:g} must be below 1 - head mass {1.0 - head_mass:g}")
     beta_bar = np.broadcast_to(np.asarray(beta_bar, dtype=float), (n,)).copy()
-    if n > 1 and np.any((beta_bar <= 0) | (beta_bar >= 1)):
+    if n > 1 and _outside_unit(beta_bar):
         raise CalibrationError("misidentification targets must lie in (0, 1)")
     log_a = np.full((n, n + 1), np.nan)
     log_a0 = math.log(n) - math.log(alpha) + math.log1p(-alpha / n)
@@ -136,10 +148,6 @@ class Verdict:
     stream: Optional[int]        # identified stream d in 1..N
     met_streams: tuple = ()
     horizon: Optional[int] = None
-
-    @property
-    def censored(self) -> bool:
-        return not self.stopped
 
 
 def _met(log_ratio: np.ndarray, log_a: np.ndarray) -> np.ndarray:
@@ -193,11 +201,8 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
         # stops short of a non-finite observation, and raises at its step
         # on the next block, after any earlier stop has won
         mix, bound = det.lookahead(obs[:, t:t + size])
-        # -inf - -inf (a window or survivor without prior mass) is a NaN
-        # ratio, which never passes
-        with np.errstate(invalid="ignore"):
-            cand = _met(log_ratio_matrix(mix, lsv[t:t + len(mix)], bound),
-                        log_a).any(axis=-1).tolist()
+        cand = _met(log_ratio_matrix(mix, lsv[t:t + len(mix)], bound),
+                    log_a).any(axis=-1).tolist()
         for hit in cand:
             det.advance()
             t += 1

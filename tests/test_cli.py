@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from changeid import ARGaussianSignal, ChangePointPrior, cli, simulate
 from changeid import models as models_module
 from changeid.cli import main
-from changeid.config import ConfigError
+from changeid.config import ConfigError, RunConfig, load_config
 from conftest import oracle_read_data_csv
 
 
@@ -220,6 +220,21 @@ class TestCalibrate:
         pytest.param({"theta_points": [float("nan")]},
                      "error: invalid config: theta_points must be a finite "
                      "number, got nan\n", id="theta_points_nan"),
+        pytest.param({"change_stream": 0},
+                     "error: change_stream must be >= 1\n",
+                     id="change_stream_zero"),
+        pytest.param({"change_stream": 3},
+                     "error: change_stream must be <= 2\n",
+                     id="change_stream_past_streams"),
+        pytest.param({"targets": {"alpha": float("nan"), "beta": 0.05}},
+                     "error: invalid risk targets: false-alarm targets must "
+                     "lie in (0, 1), got [nan nan]\n", id="alpha_nan"),
+        pytest.param({"targets": {"alpha": 0.05, "beta": float("nan")}},
+                     "error: invalid risk targets: misidentification targets "
+                     "must lie in (0, 1)\n", id="beta_nan"),
+        pytest.param({"targets": {"alpha": 0.05, "beta_bar": float("nan")}},
+                     "error: invalid risk targets: misidentification targets "
+                     "must lie in (0, 1)\n", id="beta_bar_nan"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):
@@ -499,6 +514,21 @@ class TestSimulate:
     def test_zero_trials_exit_2(self, config_path):
         assert main(["simulate", "--config", config_path({"trials": 0})]) == 2
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"change_stream": 3}, "change_stream must be <= 2"),
+        ({"theta_points": [5.0]},
+         "theta_points: 5 outside change_stream 1's parameter interval "
+         "[0.25, 2]"),
+    ], ids=["change_stream", "theta_points"])
+    def test_bad_change_batch_exit_2_before_any_trial(
+            self, config_path, monkeypatch, capsys, overrides, message):
+        def run_null_batch(*args):
+            raise AssertionError("ran the null batch before the checks")
+
+        monkeypatch.setattr(cli.montecarlo, "run_null_batch", run_null_batch)
+        assert main(["simulate", "--config", config_path(overrides)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestValidate:
     def test_diagnostics_pass(self, config_path, capsys):
@@ -633,6 +663,14 @@ class TestRangeChecks:
         assert main(["detect", "--config", path, "--window", "5",
                      str(data)]) == 3
         assert json.loads(capsys.readouterr().out)["stopped"] is False
+
+
+def test_config_without_plan_keys_loads_the_defaults(tmp_path):
+    # RunConfig's declaration holds the only defaults of the plan keys
+    sections = {key: BASE_CONFIG[key] for key in ("prior", "models", "mixing")}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(sections))
+    assert load_config(str(path)) == RunConfig(**sections)
 
 
 class TestImportFootprint:

@@ -200,6 +200,29 @@ class TestWindow:
         assert masses[0] == -math.inf
         assert masses[-1] > masses[3]
 
+    @pytest.mark.parametrize("prior, survivor, s", [
+        (ChangePointPrior.geometric(0.1, q=0.2),
+         lambda s: 0.8 * 0.9 ** s, 20),
+        (ChangePointPrior.discrete_weibull(0.5, 10.0, q=0.1),
+         lambda s: 0.9 * math.exp(-(s / 10.0) ** 0.5), 60),
+        # near 0: the survivor is 1.26e-13, which a sum of the pmf misses
+        (ChangePointPrior.discrete_weibull(1.0, 10.0),
+         lambda s: math.exp(-s / 10.0), 297),
+        (ChangePointPrior.from_pmf(np.linspace(1.0, 0.1, 30)),
+         lambda s: 0.0, 40),
+    ], ids=["geometric", "weibull_heavy", "weibull_near_0", "explicit_past"])
+    def test_evicted_mass_is_the_survivors_complement(self, rng, prior,
+                                                      survivor, s):
+        # the merged mass of k < s is 1 - P(nu >= s)
+        _, models, mix = make_setup()
+        det = Detector(prior, models, mix, window=3)
+        det.lookahead(rng.standard_normal((2, s + 3)))
+        for _ in range(s + 3):
+            det.advance()
+        want = math.log1p(-survivor(s))
+        got = det.evicted_log_prior_mass
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestErrors:
     def test_nan_observation_rejected(self):
@@ -451,11 +474,12 @@ class TestSlidingBuffer:
 
 class TestCapacityGrowth:
     def test_growth_preserves_statistics(self, rng):
-        prior, models, mix = make_setup()
         obs = rng.standard_normal((2, 40))
         # at window 5 the tables grow inside the chunk of candidates 15..19,
         # whose suffix scan then reads the regrown tables
         for window in (None, 5):
+            # a new prior has no shared tables yet
+            prior, models, mix = make_setup()
             small = Detector(prior, models, mix, window=window, capacity=16)
             shared = small.tables
             big = Detector(prior, models, mix, window=window, capacity=64)
@@ -466,9 +490,12 @@ class TestCapacityGrowth:
                     np.testing.assert_array_equal(getattr(f1, name),
                                                   getattr(f2, name))
                 assert small.evicted_log_prior_mass == big.evicted_log_prior_mass
-            # past the shared capacity the tables are the detector's own
-            assert small.tables.cap == 64 and small.tables is not shared
+            # past its tables a detector takes the prior's shared entry,
+            # which covers it, and a later detector of capacity 16 shares it
+            assert small.tables.cap == 64 and small.tables is big.tables
             assert shared.cap == 16 and not shared.sw.flags.writeable
+            later = Detector(prior, models, mix, window=window, capacity=16)
+            assert later.tables is small.tables
 
     @pytest.mark.parametrize("prior", [
         ChangePointPrior.geometric(0.1, q=0.1),
@@ -491,8 +518,9 @@ class TestCapacityGrowth:
 
 
 class TestSharedTables:
-    """Detectors with the same prior, model and mixing objects and the same
-    capacity share one set of read-only config tables."""
+    """Detectors with the same prior, model and mixing objects share one
+    set of read-only config tables, which grows to the largest capacity
+    asked for."""
 
     FIELDS = ("grid", "logw", "grid_sq", "ar", "s2", "lp", "log_survivor",
               "sw", "half_v")
@@ -507,7 +535,8 @@ class TestSharedTables:
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
                 arr[...] = 0.0
-        # other model objects, or another capacity, get tables of their own
+        # other model objects replace the prior's entry, and a larger
+        # capacity grows it
         others = [ARGaussianSignal(0.25, 2.0) for _ in models]
         assert Detector(prior, others, mix, capacity=100).tables is not a.tables
         assert Detector(prior, models, mix, capacity=200).tables is not a.tables

@@ -103,6 +103,14 @@ class TestARGaussianSignal:
         with pytest.raises(ModelError):
             self._model(**kw)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantSignal(math.nan), lambda: SineSignal(math.inf),
+        lambda: SineSignal(0.3, phase=math.nan)],
+        ids=["constant_amplitude_nan", "sine_omega_inf", "sine_phase_nan"])
+    def test_non_finite_signal_rejected(self, make):
+        with pytest.raises(ModelError, match="must be finite"):
+            make()
+
     def test_whitened_energy_constant_signal(self):
         # Q = (a (1 - sum rho))^2 for a constant signal
         assert self._model().whitened_energy() == pytest.approx(0.25)
@@ -161,7 +169,6 @@ class TestSimulate:
     def test_shapes_and_labels(self, rng):
         path = simulate(self._models(), 100, rng, stream=2, theta=1.0, nu=10)
         assert path.observations.shape == (2, 100)
-        assert path.n_streams == 2 and path.horizon == 100
         assert path.true_stream == 2 and path.true_nu == 10
 
     def test_change_injection_mean(self):

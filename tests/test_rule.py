@@ -57,6 +57,15 @@ class TestCalibrate:
             calibrate(0.1, 1.0, n_streams=2)
         with pytest.raises(CalibrationError):
             calibrate_star(1.5, 0.1, n_streams=2)
+        # a NaN target or head mass lies outside its range
+        for args, kw in [((math.nan, 0.05), {}), ((0.05, math.nan), {}),
+                         ((0.05, 0.05), dict(head_mass=math.nan)),
+                         ((0.05, 0.05), dict(head_mass=-0.1)),
+                         ((0.05, 0.05), dict(head_mass=1.0))]:
+            with pytest.raises(CalibrationError, match="must lie in"):
+                calibrate(*args, n_streams=2, **kw)
+            with pytest.raises(CalibrationError, match="must lie in"):
+                calibrate_star(*args, n_streams=2, **kw)
 
     def test_head_mass_constraint(self):
         calibrate(0.05, 0.05, n_streams=2, head_mass=0.5)
@@ -112,7 +121,7 @@ class TestRun:
                                              [1e9, 1e9, np.nan]]))
         path = simulate(models, 50, rng, stream=1, theta=2.0, nu=0)
         v = run(models, prior, mix, th, path)
-        assert v.censored and v.time is None and v.stream is None
+        assert not v.stopped and v.time is None and v.stream is None
         assert v.horizon == 50
 
     def test_strong_signal_identified(self):
@@ -189,13 +198,13 @@ class TestScreen:
             det = Detector(prior, models, mix, window=window)
             assert np.all(det.log_mix_values == -np.inf)
             want = None
-            for t in range(path.horizon):
+            for t in range(path.observations.shape[1]):
                 want = check_stop(det.step(path.observations[:, t]), th)
                 if want is not None:
                     break
             got = run(models, prior, mix, th, path, window=window)
             if want is None:
-                assert got.censored
+                assert not got.stopped
             else:
                 stops += 1
                 assert (got.time, got.stream, got.met_streams) == \
@@ -287,7 +296,8 @@ class TestBlockScreen:
     @pytest.mark.filterwarnings("error")
     def test_prior_without_mass_in_window_warns_nothing(self):
         # past the support of a 10-point prior, a 5-step window holds no
-        # prior mass: mixture, bound and survivor are all -inf
+        # prior mass: mixture, bound and survivor are all -inf, in the
+        # rule's block screen and in the frames of ``step``
         prior = ChangePointPrior.from_pmf(np.full(10, 0.1))
         models = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
         mix = MixingMeasure.uniform(0.25, 2.0, 4, spacing="log")
@@ -295,6 +305,9 @@ class TestBlockScreen:
         for seed in range(6):
             path = simulate(models, 200, np.random.default_rng(seed))
             run(models, prior, mix, th, path, window=5)
+            det = Detector(prior, models, mix, window=5)
+            for x in path.observations.T:
+                check_stop(det.step(x), th)
 
 
 def test_window_run_memory_does_not_grow_with_the_path():
@@ -318,7 +331,7 @@ def test_window_run_memory_does_not_grow_with_the_path():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert verdict.censored
+        assert not verdict.stopped
     assert peaks[1] - peaks[0] < 4 * 2 ** 20
 
 
@@ -376,7 +389,7 @@ def test_block_run_matches_screen_free_loop_property(data):
                 break
         got = run(models, prior, mix, th, path, window=window)
     if want is None:
-        assert got.censored and got.horizon == horizon
+        assert not got.stopped and got.horizon == horizon
     else:
         assert (got.time, got.stream, got.met_streams) == \
                (want.time, want.stream, want.met_streams)
