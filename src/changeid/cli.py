@@ -29,7 +29,7 @@ from . import montecarlo, theory
 from .config import (ConfigError, RunConfig, build_mixing, build_models,
                      build_prior, build_thresholds, load_config)
 from .models import ModelError
-from .montecarlo import ExperimentPlan, RiskReport, jsonable
+from .montecarlo import ExperimentPlan, RiskReport, canonical_json
 from .rule import CalibrationError, run
 
 __all__ = ["main"]
@@ -117,9 +117,7 @@ def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
 def cmd_calibrate(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
     tables = _theory_tables(cfg, thresholds, models, mixing, prior)
-    _emit(json.dumps(jsonable(tables), sort_keys=True, indent=2,
-                     allow_nan=False) + "\n",
-          cfg.out, "thresholds.json")
+    _emit(canonical_json(tables), cfg.out, "thresholds.json")
     return EXIT_OK
 
 
@@ -230,15 +228,7 @@ def cmd_detect(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
     obs = _read_data_csv(args.data, cfg.n_streams)
     verdict = run(models, prior, mixing, thresholds, obs, window=cfg.window)
-    payload = {
-        "stopped": verdict.stopped,
-        "time": verdict.time,
-        "stream": verdict.stream,
-        "met_streams": list(verdict.met_streams),
-        "horizon": verdict.horizon,
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg.out,
-          "verdict.json")
+    _emit(canonical_json(dataclasses.asdict(verdict)), cfg.out, "verdict.json")
     return EXIT_OK if verdict.stopped else EXIT_CENSORED
 
 
@@ -251,18 +241,26 @@ def _plan_dict(cfg: RunConfig) -> dict:
     return plan
 
 
+def _check_theta_points(cfg: RunConfig, models, streams, label: str) -> None:
+    """Each ``theta_points`` entry lies in the parameter interval of each
+    of ``streams`` (1-based), which the message calls ``label``.  Checked
+    by the commands that draw paths at these thetas, not in ``_load``:
+    calibrate reports a null delay scale for a stream whose interval
+    excludes a theta."""
+    for theta in cfg.theta_points:
+        for stream in streams:
+            model = models[stream - 1]
+            if not model.theta_min <= theta <= model.theta_max:
+                raise ConfigError(
+                    f"theta_points: {theta:g} outside {label} {stream}'s "
+                    f"parameter interval [{model.theta_min:g}, "
+                    f"{model.theta_max:g}]")
+
+
 def cmd_simulate(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
     stream = cfg.change_stream
-    # checked here, not in ``_load``: calibrate reports a null delay scale
-    # for a stream whose interval excludes a theta
-    model = models[stream - 1]
-    for theta in cfg.theta_points:
-        if not model.theta_min <= theta <= model.theta_max:
-            raise ConfigError(
-                f"theta_points: {theta:g} outside change_stream {stream}'s "
-                f"parameter interval [{model.theta_min:g}, "
-                f"{model.theta_max:g}]")
+    _check_theta_points(cfg, models, [stream], "change_stream")
     plan = ExperimentPlan(n_trials=cfg.trials, horizon=cfg.horizon,
                           master_seed=cfg.seed, window=cfg.window,
                           threads=cfg.threads)
@@ -280,7 +278,13 @@ def cmd_simulate(args) -> int:
                                                thresholds, stream, theta)
         change_trials += len(outcomes)
         change_censored += sum(1 for o in outcomes if not o.stopped)
-        for row in montecarlo.estimate_pmi(outcomes, stream, cfg.n_streams):
+        # a theta none of whose trials stops after nu has no pmi rows, and
+        # one with no post-change stop on the stream no delay cell
+        try:
+            rows = montecarlo.estimate_pmi(outcomes, stream, cfg.n_streams)
+        except montecarlo.MonteCarloError:
+            rows = []
+        for row in rows:
             row["theta"] = float(theta)
             report.pmi.append(row)
         try:
@@ -327,6 +331,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
+    _check_theta_points(cfg, models, range(1, cfg.n_streams + 1), "stream")
     thetas = cfg.theta_points or list(mixing.grid[[0, -1]])
     report = RiskReport(plan=_plan_dict(cfg))
     report.theory = _theory_tables(cfg, thresholds, models, mixing, prior)
@@ -346,25 +351,43 @@ def cmd_validate(args) -> int:
     return EXIT_BOUND_FAIL if failed else EXIT_OK
 
 
+def _summary(data) -> tuple:
+    """The lines ``report`` prints for a saved risk report, and its flags.
+    Raises KeyError, TypeError or ValueError on JSON that is not one."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    flags = data.get("flags", [])
+    if not isinstance(flags, list):
+        raise TypeError(f"flags must be a list, got {type(flags).__name__}")
+    lines = []
+    for cell in data.get("pfa", []):
+        lines.append(f"PFA stream {cell['stream']}: estimate "
+                     f"{cell['estimate']:.5g} upper {cell['upper']:.5g}")
+    for cell in data.get("pmi", []):
+        lines.append(f"PMI {cell['true_stream']}->{cell['decided_stream']}: "
+                     f"estimate {cell['estimate']:.5g} upper {cell['upper']:.5g}")
+    for cell in data.get("delay", []):
+        lines.append(f"delay stream {cell['stream']} r={cell['r']}: "
+                     f"estimate {cell['estimate']:.5g}")
+    lines.extend(f"FLAG: {flag}" for flag in flags)
+    return lines, flags
+
+
 def cmd_report(args) -> int:
     try:
-        with open(args.report) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(args.report, encoding="utf-8") as fh:
+            lines, flags = _summary(json.load(fh))
+    except OSError as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for cell in data.get("pfa", []):
-        print(f"PFA stream {cell['stream']}: estimate {cell['estimate']:.5g} "
-              f"upper {cell['upper']:.5g}")
-    for cell in data.get("pmi", []):
-        print(f"PMI {cell['true_stream']}->{cell['decided_stream']}: "
-              f"estimate {cell['estimate']:.5g} upper {cell['upper']:.5g}")
-    for cell in data.get("delay", []):
-        print(f"delay stream {cell['stream']} r={cell['r']}: "
-              f"estimate {cell['estimate']:.5g}")
-    flags = data.get("flags", [])
-    for flag in flags:
-        print(f"FLAG: {flag}")
+    # a file that is not UTF-8 or not JSON raises a ValueError
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: cannot read report: {args.report} is not a risk "
+              f"report: {reason}", file=sys.stderr)
+        return EXIT_USAGE
+    for line in lines:
+        print(line)
     # the only flag a report carries is the censor budget, which
     # ``simulate`` also answers with EXIT_CENSORED
     return EXIT_CENSORED if flags else EXIT_OK

@@ -163,8 +163,6 @@ class MixingMeasure:
             raise EngineError("grid count must be >= 1")
         if not 0 < theta_min <= theta_max:
             raise EngineError("need 0 < theta_min <= theta_max")
-        if count == 1:
-            return np.array([theta_min])
         if spacing == "linear":
             return np.linspace(theta_min, theta_max, count)
         if spacing == "log":

@@ -330,6 +330,13 @@ def jsonable(obj):
         return bool(obj)
     return obj
 
+
+def canonical_json(obj) -> str:
+    """``jsonable(obj)`` with sorted keys, indent 2 and a trailing newline:
+    equal objects serialize to identical bytes."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 @dataclass
 class RiskReport:
     """Flat, serialization-friendly record of a simulation campaign.
@@ -358,10 +365,7 @@ class RiskReport:
                 f"trials censored (budget {budget:g})")
 
     def to_json(self) -> str:
-        """Canonical JSON: sorted keys, non-finite floats as null, trailing
-        newline.  Equal reports serialize to identical bytes."""
-        return json.dumps(jsonable(asdict(self)), sort_keys=True,
-                          indent=2, allow_nan=False) + "\n"
+        return canonical_json(asdict(self))
 
     def to_csv(self) -> str:
         """One row per estimator cell: table, cell index, key, repr(value)."""

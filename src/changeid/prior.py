@@ -96,17 +96,7 @@ class ChangePointPrior:
     def pmf(self, k: int) -> float:
         if k < -1:
             raise PriorError(f"pmf defined on k >= -1, got {k}")
-        if k == -1:
-            return self.q
-        if self.kind == self.GEOMETRIC:
-            return (1.0 - self.q) * self.rho * (1.0 - self.rho) ** k
-        if self.kind == self.DISCRETE_WEIBULL:
-            s0 = math.exp(self._weibull_log_survivor(k))
-            s1 = math.exp(self._weibull_log_survivor(k + 1))
-            return (1.0 - self.q) * (s0 - s1)
-        if k >= self._probs.size:
-            return 0.0
-        return float(self._probs[k])
+        return self.q if k == -1 else float(np.exp(self.log_pmf(k)))
 
     def survivor(self, n: int) -> float:
         """P(nu >= n) for n >= 0; survivor(0) = 1 - q."""
@@ -152,23 +142,23 @@ class ChangePointPrior:
         """log of (pi_{-1} + pi_0, pi_1, ..., pi_{horizon-1}).
 
         The head mass is folded into k = 0 because the likelihood ratio from
-        k = -1 coincides with the one from k = 0 (no observation at t = 0).
+        k = -1 coincides with the one from k = 0 (no observation at t = 0),
+        as logaddexp(log pi_0, log q), which is accurate for a small pi_0.
         """
         if horizon < 1:
             raise PriorError("horizon must be >= 1")
         lp = np.asarray(self.log_pmf(np.arange(horizon)), dtype=float)
-        lp[0] = math.log(self.q + self.pmf(0)) if self.q + self.pmf(0) > 0 else -math.inf
+        lp[0] = np.logaddexp(lp[0], math.log(self.q)) if self.q > 0 else lp[0]
         return lp
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator) -> int:
         """Draw nu from the prior (nu = -1 with probability q)."""
-        scalar = size is None
-        m = 1 if scalar else int(np.prod(size))
-        u = rng.random(m)
-        out = np.empty(m, dtype=np.int64)
-        head = u < self.q
-        out[head] = -1
-        v = rng.random(m)
+        # two uniforms per draw, the head's included, and numpy's log and
+        # power on one-element arrays, which may round unlike math's: each
+        # keeps the change points a seed has always drawn
+        u, v = rng.random(1), rng.random(1)
+        if u[0] < self.q:
+            return -1
         if self.kind == self.GEOMETRIC:
             # max{k : (1-rho)^k > v}
             body = np.floor(np.log(v) / math.log1p(-self.rho)).astype(np.int64)
@@ -178,12 +168,8 @@ class ChangePointPrior:
             body = np.maximum(body, 0)
         else:
             cdf = np.cumsum(self._probs) / (1.0 - self.q)
-            body = np.searchsorted(cdf, v, side="right")
-            body = np.minimum(body, self._probs.size - 1)
-        out[~head] = body[~head]
-        if scalar:
-            return int(out[0])
-        return out.reshape(size)
+            body = np.minimum(np.searchsorted(cdf, v, side="right"), self._probs.size - 1)
+        return int(body[0])
 
     # -- tail diagnostics ------------------------------------------------
 

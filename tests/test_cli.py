@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from changeid import ARGaussianSignal, ChangePointPrior, cli, simulate
 from changeid import models as models_module
 from changeid.cli import main
 from changeid.config import ConfigError, RunConfig, load_config
+from changeid.montecarlo import TrialOutcome
+from changeid.rule import Verdict
 from conftest import oracle_read_data_csv
 
 
@@ -177,6 +180,10 @@ class TestCalibrate:
         pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 1,
                                  "single_point": "no"}},
                      None, id="single_point_str"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 1,
+                                 "single_point": True, "spacing": "bogus"}},
+                     "error: invalid mixing grid: unknown grid spacing "
+                     "'bogus'\n", id="single_point_bad_spacing"),
         pytest.param({"horizon": 2.7}, None, id="horizon_float"),
         pytest.param({"trials": True}, None, id="trials_bool"),
         pytest.param({"window": True}, None, id="window_bool"),
@@ -283,6 +290,16 @@ class TestDetect:
         assert main(["detect", "--config", tight, data]) == 0
         t_tight = json.loads(capsys.readouterr().out)["time"]
         assert t_loose <= t_tight
+
+    def test_verdict_json_is_canonical(self, config_path, tmp_path):
+        data = self._fixture_path(tmp_path)
+        out = tmp_path / "out"
+        assert main(["detect", "--config", config_path(), "--out", str(out),
+                     data]) == 0
+        text = (out / "verdict.json").read_text()
+        verdict = json.loads(text)
+        assert set(verdict) == {f.name for f in dataclasses.fields(Verdict)}
+        assert text == json.dumps(verdict, sort_keys=True, indent=2) + "\n"
 
     def test_empty_file_exit_2(self, config_path, tmp_path):
         data = tmp_path / "empty.csv"
@@ -511,6 +528,29 @@ class TestSimulate:
         assert r1["plan"]["seed"] == 99 and r2["plan"]["seed"] == 11
         assert r1["pfa"] != r2["pfa"]
 
+    def test_theta_without_post_change_stop_has_no_pmi_rows(
+            self, config_path, tmp_path, monkeypatch):
+        # every trial at theta = 1 alarms at or before its change point, so
+        # no trial conditions P(d = j | T > nu); theta = 0.5 runs as drawn
+        run_change_batch = cli.montecarlo.run_change_batch
+
+        def early_alarms(plan, models, prior, mixing, thresholds, stream, theta):
+            if theta == 0.5:
+                return run_change_batch(plan, models, prior, mixing,
+                                        thresholds, stream, theta)
+            return [TrialOutcome(i, True, 5, 2, 10, stream, theta)
+                    for i in range(plan.n_trials)]
+
+        monkeypatch.setattr(cli.montecarlo, "run_change_batch", early_alarms)
+        out = tmp_path / "out"
+        main(["simulate", "--config",
+              config_path({"trials": 20, "theta_points": [0.5, 1.0]}),
+              "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["pmi"] and {r["theta"] for r in report["pmi"]} == {0.5}
+        assert {c["theta"] for c in report["delay"]} <= {0.5}
+        assert report["censoring"]["change_trials"] == 40
+
     def test_zero_trials_exit_2(self, config_path):
         assert main(["simulate", "--config", config_path({"trials": 0})]) == 2
 
@@ -553,6 +593,23 @@ class TestValidate:
         assert len(diagnostics[0]) == 8
         assert diagnostics[1] == diagnostics[0]
 
+    def test_theta_outside_a_stream_interval_exit_2(self, config_path,
+                                                    monkeypatch, capsys):
+        def validate_conditions(*args, **kwargs):
+            raise AssertionError("drew paths before the theta check")
+
+        monkeypatch.setattr(cli.montecarlo, "validate_conditions",
+                            validate_conditions)
+        models = [BASE_CONFIG["models"][0],
+                  dict(BASE_CONFIG["models"][1], theta_max=1.0)]
+        mixing = dict(BASE_CONFIG["mixing"], max=1.0)
+        path = config_path({"models": models, "mixing": mixing,
+                            "theta_points": [1.5]})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: theta_points: 1.5 outside stream 2's parameter interval "
+            "[0.25, 1]\n")
+
     @pytest.mark.parametrize("model", [
         {"signal": {"kind": "constant", "amplitude": 0.0}},
         {"ar_coeffs": [1.0]},
@@ -578,6 +635,27 @@ class TestReport:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("content, reason", [
+        ([], "expected a JSON object, got list"),
+        ("text", "expected a JSON object, got str"),
+        ({"pfa": 5}, "'int' object is not iterable"),
+        ({"pfa": [{"stream": 1}]}, "missing key 'estimate'"),
+        ({"flags": "abc"}, "flags must be a list, got str"),
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    ], ids=["list", "string", "table_not_a_list", "cell_without_estimate",
+            "flags_string", "not_json", "not_utf8"])
+    def test_not_a_report_exit_2(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "report.json"
+        path.write_bytes(content if isinstance(content, bytes)
+                         else json.dumps(content).encode())
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read report: {path} is not a "
+                                f"risk report: {reason}\n")
 
     def test_flagged_report_exit_3(self, tmp_path, capsys):
         # the same code ``simulate`` returns for an exceeded censor budget

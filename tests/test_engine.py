@@ -31,6 +31,16 @@ class TestMixingMeasure:
         np.testing.assert_allclose(np.diff(np.log(m.grid)),
                                    math.log(8.0) / 7.0, atol=1e-12)
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_one_point_grid_is_theta_min(self, spacing):
+        for m in (MixingMeasure.uniform(0.5, 2.0, 1, spacing=spacing),
+                  MixingMeasure.gaussian(0.5, 2.0, 1, v=1.0, spacing=spacing)):
+            assert m.grid.tolist() == [0.5] and m.weights.tolist() == [1.0]
+
+    def test_one_point_grid_checks_its_spacing(self):
+        with pytest.raises(EngineError, match="unknown grid spacing 'bogus'"):
+            MixingMeasure.uniform(0.5, 2.0, 1, spacing="bogus")
+
     def test_gaussian_weights_sum_to_one(self):
         m = MixingMeasure.gaussian(0.5, 3.0, 7, v=1.0)
         assert math.fsum(m.weights.tolist()) == pytest.approx(1.0, abs=1e-12)

@@ -31,7 +31,7 @@ class TestGeometric:
 
     def test_sample_matches_pmf(self, rng):
         prior = ChangePointPrior.geometric(0.3, q=0.2)
-        draws = prior.sample(rng, size=20000)
+        draws = np.array([prior.sample(rng) for _ in range(20000)])
         assert np.mean(draws == -1) == pytest.approx(0.2, abs=0.02)
         assert np.mean(draws == 0) == pytest.approx(prior.pmf(0), abs=0.02)
         assert np.mean(draws == 2) == pytest.approx(prior.pmf(2), abs=0.02)
@@ -99,11 +99,35 @@ class TestHeadMergedLogPmf:
         assert lp[0] == pytest.approx(math.log(0.25 + prior.pmf(0)))
         assert lp[2] == pytest.approx(math.log(prior.pmf(2)))
 
+    def test_fold_keeps_a_small_pi_0_accurate(self):
+        # pi_0 = 1 - exp(-1/1000): the log form carries no cancellation
+        prior = ChangePointPrior.discrete_weibull(1.0, 1000.0)
+        lp = prior.log_pmf_head_merged(3)
+        assert lp[0] == pytest.approx(math.log(-math.expm1(-1e-3)), abs=1e-15)
+        with_head = ChangePointPrior.discrete_weibull(1.0, 1000.0, q=0.2)
+        assert with_head.log_pmf_head_merged(3)[0] == pytest.approx(
+            math.log(0.2 + 0.8 * -math.expm1(-1e-3)), abs=1e-15)
+
     def test_total_mass_plus_survivor_is_one(self):
         prior = ChangePointPrior.geometric(0.07, q=0.1)
         h = 50
         lp = prior.log_pmf_head_merged(h)
         assert math.fsum(np.exp(lp)) + prior.survivor(h) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("prior, draws", [
+    (ChangePointPrior.geometric(0.05, q=0.3),
+     [30, 4, 38, -1, 34, 9, -1, -1, 4, 21, -1, -1]),
+    (ChangePointPrior.discrete_weibull(0.7, 30.0, q=0.3),
+     [55, 3, 77, -1, 68, 10, -1, -1, 3, 35, -1, -1]),
+    (ChangePointPrior.from_pmf(np.arange(1.0, 21.0), q=0.2),
+     [9, 17, 7, -1, 7, 15, -1, -1, 17, 11, 13, 18]),
+], ids=["geometric", "discrete_weibull", "explicit_pmf"])
+def test_sample_draws_are_pinned(prior, draws):
+    # each draw takes two uniforms, the head included, so a seed gives the
+    # same change points whatever the prior's head mass did to earlier ones
+    rng = np.random.default_rng(2024)
+    assert [prior.sample(rng) for _ in range(12)] == draws
 
 
 @settings(max_examples=50, deadline=None)

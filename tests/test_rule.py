@@ -274,6 +274,7 @@ class TestBlockScreen:
         x[rng.random(shape) < holes / 2] = np.nan
         return x
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
     def test_rows_match_per_step(self, n_streams):
         rng = np.random.default_rng(40 + n_streams)
@@ -283,15 +284,14 @@ class TestBlockScreen:
             mix = self._rows(rng, (m, n_streams), holes)
             bound = self._rows(rng, (m, n_streams), holes)
             lsv = self._rows(rng, m, holes)
-            with np.errstate(invalid="ignore"):
-                ratio = log_ratio_matrix(mix, lsv, bound)
-                met = _met(ratio, log_a)
-                assert ratio.shape == (m, n_streams, n_streams + 1)
-                assert met.shape == (m, n_streams)
-                for s in range(m):
-                    one = log_ratio_matrix(mix[s], lsv[s], bound[s])
-                    np.testing.assert_array_equal(ratio[s], one)
-                    np.testing.assert_array_equal(met[s], _met(one, log_a))
+            ratio = log_ratio_matrix(mix, lsv, bound)
+            met = _met(ratio, log_a)
+            assert ratio.shape == (m, n_streams, n_streams + 1)
+            assert met.shape == (m, n_streams)
+            for s in range(m):
+                one = log_ratio_matrix(mix[s], lsv[s], bound[s])
+                np.testing.assert_array_equal(ratio[s], one)
+                np.testing.assert_array_equal(met[s], _met(one, log_a))
 
     @pytest.mark.filterwarnings("error")
     def test_prior_without_mass_in_window_warns_nothing(self):
@@ -349,6 +349,7 @@ def _draw_prior(data, kind):
     return ChangePointPrior.from_pmf(np.full(size, 1.0 / size))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_block_run_matches_screen_free_loop_property(data):
@@ -382,12 +383,11 @@ def test_block_run_matches_screen_free_loop_property(data):
 
     det = Detector(prior, models, mix, window=window, capacity=16)
     want = None
-    with np.errstate(invalid="ignore"):
-        for t in range(horizon):
-            want = check_stop(det.step(path.observations[:, t]), th)
-            if want is not None:
-                break
-        got = run(models, prior, mix, th, path, window=window)
+    for t in range(horizon):
+        want = check_stop(det.step(path.observations[:, t]), th)
+        if want is not None:
+            break
+    got = run(models, prior, mix, th, path, window=window)
     if want is None:
         assert not got.stopped and got.horizon == horizon
     else:
