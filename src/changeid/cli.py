@@ -300,33 +300,7 @@ def cmd_simulate(args) -> int:
         "change_censored": change_censored,
     }
     report.check_censor_budget()
-
-    bound_fail = False
-    bounds = report.theory["pfa_bound_per_stream"]
-    for cell in report.pfa:
-        ok = cell["upper"] <= bounds[cell["stream"] - 1]
-        bound_fail |= not ok
-        print(f"PFA stream {cell['stream']}: estimate {cell['estimate']:.5g} "
-              f"upper {cell['upper']:.5g} bound {bounds[cell['stream'] - 1]:.5g} "
-              f"{'PASS' if ok else 'FAIL'}")
-    pmi_bounds = report.theory["pmi_bound_matrix"]
-    for cell in report.pmi:
-        bound = pmi_bounds[cell["true_stream"] - 1][cell["decided_stream"] - 1]
-        ok = cell["upper"] <= bound
-        bound_fail |= not ok
-        print(f"PMI {cell['true_stream']}->{cell['decided_stream']} "
-              f"theta={cell['theta']:g}: estimate {cell['estimate']:.5g} "
-              f"upper {cell['upper']:.5g} bound {bound:.5g} "
-              f"{'PASS' if ok else 'FAIL'}")
-
-    _emit(report.to_json(), cfg.out, "report.json")
-    if cfg.out is not None:
-        _emit(report.to_csv(), cfg.out, "report.csv")
-    if bound_fail:
-        return EXIT_BOUND_FAIL
-    if report.flags:
-        return EXIT_CENSORED
-    return EXIT_OK
+    return _finish(report, cfg.out)
 
 
 def cmd_validate(args) -> int:
@@ -338,45 +312,72 @@ def cmd_validate(args) -> int:
     report.diagnostics = montecarlo.validate_conditions(
         models, thetas, master_seed=cfg.seed,
         n_paths=min(cfg.trials, 100))
-    failed = False
-    for row in report.diagnostics:
-        ok = row["ok"]
-        failed |= not ok
-        print(f"drift stream {row['stream']} theta={row['theta']:g} "
-              f"n={row['n']}: rate {row['mean_rate']:.5g} "
-              f"target {row['target']:.5g} {'PASS' if ok else 'FAIL'}")
-    _emit(report.to_json(), cfg.out, "report.json")
-    if cfg.out is not None:
-        _emit(report.to_csv(), cfg.out, "report.csv")
-    return EXIT_BOUND_FAIL if failed else EXIT_OK
+    return _finish(report, cfg.out)
+
+
+def _float(value) -> float:
+    """A number read from a report: null, which ``canonical_json`` writes
+    for a non-finite value, reads as NaN, so a null bound fails its check."""
+    return math.nan if value is None else value
 
 
 def _summary(data) -> tuple:
-    """The lines ``report`` prints for a saved risk report, and its flags.
-    Raises KeyError, TypeError or ValueError on JSON that is not one."""
+    """The stdout text of a risk report's JSON and the exit code of the run
+    that wrote it: EXIT_BOUND_FAIL when a bound or drift check fails, else
+    EXIT_CENSORED when the report carries a flag, else EXIT_OK.  Raises
+    KeyError, TypeError or ValueError on JSON that is not a risk report."""
     if not isinstance(data, dict):
         raise TypeError(f"expected a JSON object, got {type(data).__name__}")
     flags = data.get("flags", [])
     if not isinstance(flags, list):
         raise TypeError(f"flags must be a list, got {type(flags).__name__}")
-    lines = []
+    lines, failed = [], False
+
+    def check(text, ok):
+        nonlocal failed
+        failed |= not ok
+        lines.append(f"{text} {'PASS' if ok else 'FAIL'}")
+
+    # the estimate before the bound: a cell without one is named as such
     for cell in data.get("pfa", []):
-        lines.append(f"PFA stream {cell['stream']}: estimate "
-                     f"{cell['estimate']:.5g} upper {cell['upper']:.5g}")
+        text = (f"PFA stream {cell['stream']}: estimate {cell['estimate']:.5g} "
+                f"upper {cell['upper']:.5g}")
+        bound = _float(data["theory"]["pfa_bound_per_stream"][cell["stream"] - 1])
+        check(f"{text} bound {bound:.5g}", cell["upper"] <= bound)
     for cell in data.get("pmi", []):
-        lines.append(f"PMI {cell['true_stream']}->{cell['decided_stream']}: "
-                     f"estimate {cell['estimate']:.5g} upper {cell['upper']:.5g}")
+        i, j = cell["true_stream"], cell["decided_stream"]
+        text = (f"PMI {i}->{j} theta={cell['theta']:g}: estimate "
+                f"{cell['estimate']:.5g} upper {cell['upper']:.5g}")
+        bound = _float(data["theory"]["pmi_bound_matrix"][i - 1][j - 1])
+        check(f"{text} bound {bound:.5g}", cell["upper"] <= bound)
     for cell in data.get("delay", []):
-        lines.append(f"delay stream {cell['stream']} r={cell['r']}: "
-                     f"estimate {cell['estimate']:.5g}")
+        lines.append(f"delay stream {cell['stream']} r={cell['r']} "
+                     f"theta={cell['theta']:g}: estimate {cell['estimate']:.5g}")
+    for row in data.get("diagnostics", []):
+        check(f"drift stream {row['stream']} theta={row['theta']:g} "
+              f"n={row['n']}: rate {_float(row['mean_rate']):.5g} "
+              f"target {_float(row['target']):.5g}", row["ok"])
     lines.extend(f"FLAG: {flag}" for flag in flags)
-    return lines, flags
+    code = EXIT_BOUND_FAIL if failed else EXIT_CENSORED if flags else EXIT_OK
+    return "".join(f"{line}\n" for line in lines), code
+
+
+def _finish(report: RiskReport, out_dir: Optional[str]) -> int:
+    """Print the report's summary, write ``report.json`` (and, with an
+    output directory, ``report.csv``) and return the summary's exit code."""
+    text = report.to_json()
+    summary, code = _summary(json.loads(text))
+    sys.stdout.write(summary)
+    _emit(text, out_dir, "report.json")
+    if out_dir is not None:
+        _emit(report.to_csv(), out_dir, "report.csv")
+    return code
 
 
 def cmd_report(args) -> int:
     try:
         with open(args.report, encoding="utf-8") as fh:
-            lines, flags = _summary(json.load(fh))
+            summary, code = _summary(json.load(fh))
     except OSError as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -386,11 +387,8 @@ def cmd_report(args) -> int:
         print(f"error: cannot read report: {args.report} is not a risk "
               f"report: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    for line in lines:
-        print(line)
-    # the only flag a report carries is the censor budget, which
-    # ``simulate`` also answers with EXIT_CENSORED
-    return EXIT_CENSORED if flags else EXIT_OK
+    sys.stdout.write(summary)
+    return code
 
 
 def _add_config(p: argparse.ArgumentParser, *overrides: str) -> None:

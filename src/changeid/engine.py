@@ -153,9 +153,14 @@ class MixingMeasure:
         if count == 1:
             return cls(grid=grid, weights=np.ones(1))
         edges = np.concatenate(([grid[0]], 0.5 * (grid[1:] + grid[:-1]), [grid[-1]]))
-        w = np.exp(-0.5 * (grid / v) ** 2) * np.diff(edges)
-        w = w / math.fsum(w.tolist())
-        return cls(grid=grid, weights=w)
+        # a square that overflows is a weight that underflows to 0
+        with np.errstate(over="ignore"):
+            w = np.exp(-0.5 * (grid / v) ** 2) * np.diff(edges)
+        total = math.fsum(w.tolist())
+        if total == 0:
+            raise EngineError(f"gaussian weights all underflow to 0 at v={v:g}; "
+                              f"v must be larger")
+        return cls(grid=grid, weights=w / total)
 
     @staticmethod
     def _make_grid(theta_min, theta_max, count, spacing) -> np.ndarray:

@@ -45,11 +45,23 @@ def whiten(x: Sequence[float], coeffs: Sequence[float]) -> np.ndarray:
     return x - (coeffs[..., None, :] * lags).sum(axis=-1)
 
 
-def _check_finite(signal) -> None:
+def _check_square(name: str, value: float) -> None:
+    """The information number reads ``value ** 2``: it must be a positive
+    finite float, neither overflowed nor underflowed to 0."""
+    if not 0 < value * value < np.inf:
+        raise ModelError(
+            f"{name} squared must be a positive finite float, got {value!r}")
+
+
+def _check_signal(signal) -> None:
     for f in fields(signal):
         value = getattr(signal, f.name)
         if not np.isfinite(value):
             raise ModelError(f"signal {f.name} must be finite, got {value}")
+    # a zero signal stays allowed: it carries no information, which
+    # ``validate`` names
+    if signal.amplitude:
+        _check_square("amplitude", signal.amplitude)
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,7 @@ class ConstantSignal:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_signal(self)
 
     def values(self, horizon: int) -> np.ndarray:
         """Signal values S_t for t = 1..horizon."""
@@ -71,7 +83,7 @@ class SineSignal:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_signal(self)
 
     def values(self, horizon: int) -> np.ndarray:
         t = np.arange(1, horizon + 1)
@@ -107,6 +119,8 @@ class ARGaussianSignal:
             raise ModelError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0 < self.theta_min <= self.theta_max < np.inf):
             raise ModelError("need 0 < theta_min <= theta_max < inf")
+        _check_square("sigma", self.sigma)
+        _check_square("theta_max", self.theta_max)
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
         if not np.all(np.isfinite(self.ar_coeffs)):
             raise ModelError(f"AR coefficients must be finite, got {self.ar_coeffs}")

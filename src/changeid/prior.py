@@ -41,6 +41,7 @@ class ChangePointPrior:
         self.scale = scale
         self._probs = None
         self._tail = None  # reverse-cumulative table for explicit kind
+        self._cdf = None  # sample's search table for explicit kind
         if kind == self.GEOMETRIC:
             if rho is None or not 0.0 < rho < 1.0:
                 raise PriorError(f"geometric rho must be in (0, 1), got {rho}")
@@ -69,6 +70,7 @@ class ChangePointPrior:
             tail[:-1] = np.cumsum(probs[::-1])[::-1]
             self._probs = probs
             self._tail = tail
+            self._cdf = np.cumsum(probs) / (1.0 - self.q)
         else:
             raise PriorError(f"unknown prior kind {kind!r}")
 
@@ -167,8 +169,8 @@ class ChangePointPrior:
             body = np.ceil(self.scale * (-np.log(v)) ** (1.0 / self.kappa)).astype(np.int64) - 1
             body = np.maximum(body, 0)
         else:
-            cdf = np.cumsum(self._probs) / (1.0 - self.q)
-            body = np.minimum(np.searchsorted(cdf, v, side="right"), self._probs.size - 1)
+            body = np.minimum(np.searchsorted(self._cdf, v, side="right"),
+                              self._probs.size - 1)
         return int(body[0])
 
     # -- tail diagnostics ------------------------------------------------

@@ -55,7 +55,9 @@ class ThresholdMatrix:
         return self.log_a.shape[0]
 
     def linear(self) -> np.ndarray:
-        return np.exp(self.log_a)
+        """A = exp(log A); inf where that overflows."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_a)
 
 
 def _outside_unit(a: np.ndarray) -> bool:

@@ -18,18 +18,19 @@ __all__ = ["pfa_bound", "pmi_bound", "psi_threshold"]
 
 def pfa_bound(thresholds: ThresholdMatrix):
     """Per-stream bounds (1 + A_i0)^-1 and their total."""
-    a0 = np.exp(thresholds.log_a[:, 0])
-    per_stream = 1.0 / (1.0 + a0)
+    per_stream = 1.0 / (1.0 + thresholds.linear()[:, 0])
     return per_stream, float(per_stream.sum())
 
 
 def pmi_bound(thresholds: ThresholdMatrix):
-    """Pairwise bounds (1 + A_i0) / (A_i0 A_ji) and their row sums."""
+    """Pairwise bounds (1 + A_i0) / (A_i0 A_ji) and their row sums; 1 / A_ji
+    where A_i0 overflows."""
     a = thresholds.linear()
     n = thresholds.n_streams
     pair = np.full((n, n), np.nan)
     for i in range(n):
-        prefactor = (1.0 + a[i, 0]) / a[i, 0]
+        # (1 + A_i0) / A_i0 tends to 1 as A_i0 overflows to inf
+        prefactor = 1.0 if np.isinf(a[i, 0]) else (1.0 + a[i, 0]) / a[i, 0]
         for j in range(n):
             if j != i:
                 pair[i, j] = prefactor / a[j, i + 1]

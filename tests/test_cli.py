@@ -133,6 +133,16 @@ class TestCalibrate:
                            log_a[i][j + 1] / (info + min(mu, inf_0[j])))
                 assert psis[i] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_pmi_bound_where_a_i0_overflows(self, config_path, capsys):
+        # alpha = 1e-310 gives log A_i0 = 713.8, past exp's range
+        path = config_path({"targets": {"alpha": 1e-310, "beta": 0.05}})
+        assert main(["calibrate", "--config", path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["pfa_bound_per_stream"] == [0.0, 0.0]
+        assert data["pmi_bound_matrix"][0][1] == pytest.approx(0.05)
+        assert data["pmi_bound_matrix"][1][0] == pytest.approx(0.05)
+
     def test_invalid_targets_exit_2(self, config_path, capsys):
         path = config_path({"targets": {"alpha": 2.0, "beta": 0.05}})
         assert main(["calibrate", "--config", path]) == 2
@@ -625,13 +635,30 @@ class TestValidate:
 
 
 class TestReport:
-    def test_summarizes_saved_report(self, config_path, tmp_path, capsys):
+    AR_09 = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0,
+             "ar_coeffs": [0.9]}
+
+    @pytest.mark.parametrize("command, overrides, code", [
+        ("simulate", {"trials": 80, "theta_points": [2.0]}, 0),
+        ("simulate", {"trials": 40}, 4),
+        ("simulate", {"horizon": 40, "targets": {"alpha": 0.05, "beta": 0.2}},
+         3),
+        ("validate", {"trials": 30}, 0),
+        ("validate", {"models": [AR_09] * 2, "theta_points": [0.25],
+                      "trials": 20}, 4),
+    ], ids=["simulate_pass", "simulate_bound_fail", "simulate_flagged",
+            "validate_pass", "validate_drift_fail"])
+    def test_round_trip(self, config_path, tmp_path, capsys, command,
+                        overrides, code):
+        # ``report`` on a saved report prints the lines of the run that
+        # wrote it and returns its exit code
         out = tmp_path / "out"
-        main(["simulate", "--config", config_path({"trials": 40}),
-              "--out", str(out)])
-        capsys.readouterr()
-        assert main(["report", str(out / "report.json")]) == 0
-        assert "PFA stream 1" in capsys.readouterr().out
+        assert main([command, "--config", config_path(overrides),
+                     "--out", str(out)]) == code
+        printed = capsys.readouterr().out
+        assert "PASS" in printed
+        assert main(["report", str(out / "report.json")]) == code
+        assert capsys.readouterr().out == printed
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 2
@@ -700,6 +727,39 @@ class TestCommandLine:
             argv.append(self._data(tmp_path))
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestExtremeModelParameters:
+    """A parameter whose square the information number reads must have a
+    positive finite square; one that does not exits 2 when the model is
+    built, not in the arithmetic of a later step."""
+
+    AR = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0}
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate", "validate"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"models": [dict(AR, sigma=1e-170)] * 2}, "sigma squared must be a "
+         "positive finite float, got 1e-170"),
+        ({"models": [dict(AR, sigma=1e170)] * 2}, "sigma squared must be a "
+         "positive finite float, got 1e+170"),
+        ({"models": [dict(AR, signal={"kind": "constant",
+                                      "amplitude": 1e200})] * 2},
+         "amplitude squared must be a positive finite float, got 1e+200"),
+        ({"models": [dict(AR, signal={"kind": "sine", "omega": 0.3,
+                                      "amplitude": 1e200})] * 2},
+         "amplitude squared must be a positive finite float, got 1e+200"),
+        ({"models": [dict(AR, theta_max=1e300)] * 2,
+          "mixing": dict(BASE_CONFIG["mixing"], max=1e200),
+          "theta_points": [1e200]},
+         "theta_max squared must be a positive finite float, got 1e+300"),
+    ], ids=["sigma_underflow", "sigma_overflow", "constant_amplitude",
+            "sine_amplitude", "theta_max"])
+    def test_exit_2_naming_the_field(self, config_path, capsys, command,
+                                     overrides, message):
+        assert main([command, "--config", config_path(overrides)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stream 1: invalid model: {message}\n"
 
 
 class TestRangeChecks:

@@ -48,6 +48,12 @@ class TestMixingMeasure:
         # endpoint cells are half width)
         assert np.all(np.diff(m.weights[1:-1]) <= 0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [1e-10, 1e-300])
+    def test_gaussian_weights_that_all_underflow_name_v(self, v):
+        with pytest.raises(EngineError, match=f"underflow to 0 at v={v:g};"):
+            MixingMeasure.gaussian(0.25, 2.0, 4, v=v)
+
     def test_validation(self):
         with pytest.raises(EngineError):
             MixingMeasure(grid=np.array([1.0, 0.5]), weights=np.array([0.5, 0.5]))

@@ -29,6 +29,18 @@ class TestBounds:
         assert np.isnan(pair[0, 0]) and np.isnan(pair[1, 1])
         assert rows[0] == pytest.approx(pair[0, 1])
 
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_where_a_i0_overflows(self):
+        # exp(713.8) overflows: the PFA bound is 0 and the PMI bound's
+        # prefactor (1 + A_i0) / A_i0 takes its limit 1
+        th = ThresholdMatrix(log_a=np.array([[713.8, np.nan, math.log(20.0)],
+                                             [713.8, math.log(20.0), np.nan]]))
+        per, total = pfa_bound(th)
+        assert per.tolist() == [0.0, 0.0] and total == 0.0
+        pair, rows = pmi_bound(th)
+        assert pair[0, 1] == pair[1, 0] == 1.0 / th.linear()[1, 1]
+        assert rows.tolist() == [pair[0, 1], pair[1, 0]]
+
     def test_calibrated_thresholds_meet_targets_exactly(self):
         th = calibrate(0.05, 0.05, n_streams=2)
         per, _ = pfa_bound(th)
