@@ -5,13 +5,11 @@ Usage (from the repository root):
     python3 scripts/kernel_sweep.py [--src DIR]
 
 For N in {2, 8} streams and G in {8, 12, 32} grid points, in full mode and at
-window 200, a detector looks ahead a path of ``STEPS`` Gaussian
-observations in 64-step blocks and commits each block before the next.
-Only the ``lookahead`` calls are timed, and the best of ``REPS``
-repetitions is kept.  When the engine scans wide rows one at a time
-(``engine._ROW_SCAN_ENTRIES``), each case is also timed with that
-threshold moved so that every scan takes one path, ``accumulate`` or
-``rows``: the table shows which path wins at each width.
+windows 1, 7, 50 and 200, a detector looks ahead a path of ``STEPS``
+Gaussian observations in 64-step blocks and commits each block before the
+next.  Only the ``lookahead`` calls are timed, and the best of ``REPS``
+repetitions is kept.  Short windows split a block into many chunks, so
+they show the per-chunk cost of the windowed scan.
 
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
@@ -28,9 +26,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STREAMS = (2, 8)
-# 8 x 12 = 96 entries a row: a case between the benchmark's 16 and 256
 GRIDS = (8, 12, 32)
-WINDOWS = (None, 200)
+WINDOWS = (None, 1, 7, 50, 200)
 BLOCK = 64
 STEPS = 1280
 REPS = 7
@@ -57,10 +54,6 @@ def sweep(src: str) -> dict:
     from changeid.models import ARGaussianSignal
     from changeid.prior import ChangePointPrior
 
-    shipped = getattr(engine, "_ROW_SCAN_ENTRIES", None)
-    paths = {"us_per_step": shipped}
-    if shipped is not None:
-        paths.update(us_per_step_accumulate=sys.maxsize, us_per_step_rows=0)
     prior = ChangePointPrior.geometric(0.05)
     rng = np.random.default_rng(0)
     rows = []
@@ -70,19 +63,12 @@ def sweep(src: str) -> dict:
         for g in GRIDS:
             mixing = engine.MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
             for window in WINDOWS:
-                row = {"streams": n, "grid": g, "entries": n * g,
-                       "window": window}
-                for key, threshold in paths.items():
-                    if threshold is not None:
-                        engine._ROW_SCAN_ENTRIES = threshold
-                    best = min(time_path(engine, prior, models, mixing,
-                                         window, obs) for _ in range(REPS))
-                    row[key] = round(1e6 * best / STEPS, 3)
-                rows.append(row)
-    if shipped is not None:
-        engine._ROW_SCAN_ENTRIES = shipped
-    return {"row_scan_entries": shipped, "steps": STEPS, "block": BLOCK,
-            "reps": REPS, "rows": rows}
+                best = min(time_path(engine, prior, models, mixing, window, obs)
+                           for _ in range(REPS))
+                rows.append({"streams": n, "grid": g, "entries": n * g,
+                             "window": window,
+                             "us_per_step": round(1e6 * best / STEPS, 3)})
+    return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows}
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ values are never rewritten.  The mixture over the candidates in the window,
 b_n = log sum_k pi_k e^{-cumz_k}, is one chunked prefix/suffix scan (van
 Herk 1992; Gil & Werman 1993) with chunk length L = window: a step costs
 O(grid) amortised, and full mode is the case L = infinity, a running
-logaddexp.  The scan and the exact frames read only the rows of the window
+log-sum-exp.  The scan and the exact frames read only the rows of the window
 and of the previous chunk, so window mode keeps cumz in a sliding buffer of
 about 2(L + 1 + m) rows for look-ahead blocks of m steps: when a block would
 run past its end, the rows still read move to its front.  Full mode keeps
@@ -34,12 +34,19 @@ has one code path, bit for bit the same whatever the blocks.  The LLR
 increments come from one function, ``StreamTables.increments``, whose
 tables need no prior: ``montecarlo.validate_conditions`` sums them too.
 
-The kernel's running log-sum-exp scans go one row of N x grid entries at
-a time when rows are wide: ``np.logaddexp.accumulate`` along the steps
-waits on each column's serial chain of libm exp and log1p, so it runs at
-their latency, while the entries of a row are independent and run at the
-libm's throughput.  Narrow rows keep ``accumulate``, whose one call costs
-less than a dispatch per row.  Both paths give the same bits.
+The kernel's running log-sum-exp scans (each chunk's prefix, and each
+finished chunk's suffixes) carry every column as a pair (off, s) whose
+value is off + log(s), the rescaled running sum of Milakov & Gimelshein
+(2018, "Online normalizer calculation for softmax").  A run of rows is
+then one exp, one cumulative sum along the steps and one log over the
+whole run, with the block's whole chunks in the same calls.  Its entries
+are independent of each other, so they run at the libm's throughput
+rather than at the latency of a logaddexp chain.  A chunk re-bases, with
+one logaddexp, at a row with an entry far above its column's offset, or
+where a column without prior mass meets a finite entry.  That decision
+reads only the carried state and the row, and numpy's exp and log give
+the same bits on any operand layout, so the statistics are the same bits
+whatever the blocks.
 
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
@@ -69,11 +76,16 @@ __all__ = ["MixingMeasure", "StatisticFrame", "Detector", "EngineError",
            "log_ratio_matrix", "posterior_no_change"]
 
 _WEIGHT_TOL = 1e-12
-# ``_scan`` goes row by row when a row holds at least this many entries.
-# End to end, ``accumulate`` is verified to win at 16 entries a row and the
-# row loop at 256; 96 is a point between them, not a measured crossover
-# (the N x G table of scripts/kernel_sweep.py is too noisy to place one)
-_ROW_SCAN_ENTRIES = 96
+# a column's running log-sum-exp is carried as off + log(s); a row with an
+# entry more than _HEADROOM above its column's offset re-bases it to off =
+# the running value and s = 1, so that exp(entry - off) never overflows
+_HEADROOM = 600.0
+# the offset of a column that holds no mass yet: every finite entry lies
+# above it and re-bases, and exp(-inf - _EMPTY) is 0
+_EMPTY = -np.finfo(float).max
+# the screen's slack in units of the last place of the largest magnitude
+# the statistics are summed from (``Detector.screen_slack``)
+_SLACK_ULPS = 256
 
 
 class EngineError(ValueError):
@@ -89,23 +101,62 @@ def _lse(a: np.ndarray, axis=None) -> np.ndarray:
     return out
 
 
-def _scan(ufunc, a: np.ndarray) -> None:
-    """Running reduction of ``ufunc`` along axis 0 of ``a``, in place: row r
-    becomes ufunc(row r-1, row r) after row r-1 has.
+def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Running log-sum-exp along axis 1 of x, (k, r, C), in place, over k
+    chunks at once; returns the state after the last row.
 
-    ``ufunc.accumulate(a, axis=0)`` walks each column's chain on its own,
-    so every entry waits for the libm exp and log1p of the entry before
-    it: the scan runs at their latency.  One ufunc call on a whole row
-    evaluates its entries independently, at the libm's throughput, but
-    costs a dispatch per row, which a row of few entries does not repay.
-    Both paths evaluate the same ufunc loop on the same operands in the
-    same order, so they give the same bits.
+    The state (off, s), each (k, C), holds each chunk's running value as
+    off + log(s).  Without one, each chunk starts afresh at its first row
+    with off = that row (_EMPTY where it is -inf) and no sum.  Between
+    re-bases a run of rows is one exp, one cumulative sum along the rows
+    seeded with s, and one log, each over the whole run.  A row where
+    some entry of a chunk lies more than _HEADROOM above its offset
+    re-bases that chunk: its value is logaddexp(off + log(s), row), and
+    the state becomes (that value, 1).  A re-base depends only on the
+    state and the row, and every step is an elementwise numpy ufunc, so
+    the values are the same bits however the rows are split into calls.
+    Callers hold np.errstate with divide, over and invalid ignored.
     """
-    if a[0].size < _ROW_SCAN_ENTRIES:
-        ufunc.accumulate(a, axis=0, out=a)
-    else:
-        for r in range(1, len(a)):
-            ufunc(a[r - 1], a[r], out=a[r])
+    off, s = state if state is not None else (np.maximum(x[:, 0], _EMPTY), None)
+    while x.shape[1]:
+        o = off[:, None]
+        hits = x > o + _HEADROOM
+        h = int(hits.any(axis=(0, 2)).argmax()) if hits.any() else x.shape[1]
+        if h:
+            run = x[:, :h]
+            run -= o
+            np.exp(run, out=run)
+            if s is not None:
+                run[:, 0] += s
+            np.add.accumulate(run, axis=1, out=run)
+            s = run[:, -1].copy()
+            np.log(run, out=run)
+            run += o
+        if h == x.shape[1]:
+            break
+        # row h re-bases the chunks that hit; the others take a plain step
+        hit = hits[:, h].any(axis=1, keepdims=True)
+        row = x[:, h]
+        plain = s + np.exp(row - off)
+        rebased = np.logaddexp(off + np.log(s), row)
+        row[...] = np.where(hit, rebased, off + np.log(plain))
+        new_off = np.maximum(row, _EMPTY)
+        s = np.where(hit, np.exp(row - new_off), plain)
+        off = np.where(hit, new_off, off)
+        x = x[:, h + 1:]
+    return off, s
+
+
+def _logaddexp_into(p: np.ndarray, q: np.ndarray) -> None:
+    """p = log(e^p + e^q) in place, as max + log1p(exp(min - max))."""
+    top = np.maximum(p, q)
+    np.minimum(p, q, out=p)
+    p -= top
+    # both -inf: the NaN difference becomes 0, and -inf + log 2 is -inf
+    np.fmin(p, 0.0, out=p)
+    np.exp(p, out=p)
+    np.log1p(p, out=p)
+    p += top
 
 
 @dataclass(frozen=True)
@@ -396,6 +447,8 @@ class Detector:
         # of times _end-m.._end, so time n is row n - _end - 1
         self._end = 0
         self._mix = self._bound = np.full((1, self.n_streams), -np.inf)
+        # the largest |cumz| and |log-pmf| looked ahead so far
+        self._scale = 1.0
 
     @property
     def _window_start(self) -> int:
@@ -444,8 +497,13 @@ class Detector:
 
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
-        and the windowed mixture by the chunked scan, one running
-        log-sum-exp ``_scan`` per chunk segment of the block.
+        and the windowed mixture by the chunked scan.  The block's rows
+        split into a head that continues the current chunk, whole chunks
+        and a tail that starts the last one; ``_scan`` computes each part's
+        prefixes in one call, carrying the head's state from the previous
+        block and the tail's to the next, and the suffixes of every chunk
+        that ends in the block in one more.  The prefixes then combine with
+        the previous chunk's suffixes into the windowed mixture.
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[0] != self.n_streams:
@@ -473,31 +531,50 @@ class Detector:
         cumz = self._cumz[n0 - b:n0 + m + 1 - b]
         cumz[1:] = tab.increments(n0, hist)
         np.add.accumulate(cumz, axis=0, out=cumz)
+        # the magnitudes the screen's slack scales with
+        lp = tab.lp[n0:n0 + m]
+        low = lp.min()
+        if low == -np.inf:
+            low = lp[lp > low].min(initial=0.0)
+        self._scale = max(self._scale, cumz.max(), -cumz.min(), -low)
         # candidate k = n joins the window [n + 1 - L, n] at step n + 1; its
         # chunk starts at n - c (c = n mod L), and the rest of the window is
         # the previous chunk's suffix from local index c + 1.  ``a`` turns
         # into the prefix scan and then into the windowed mixture b
         L = self._chunk
         a = tab.lp[n0:n0 + m, None, None] - cumz[:m]
-        i = 0
-        while i < m:
-            n = n0 + i
-            c = n % L
-            e = min(m, i + L - c)
-            seg = a[i:e]
-            if c > 0:
-                seg[0] = np.logaddexp(self._prefix, seg[0])
-            _scan(np.logaddexp, seg)
-            self._prefix = seg[-1].copy()
-            r = min(e - i, L - 1 - c)
-            if n >= L and r > 0:
-                np.logaddexp(self._suffix[c + 1:c + 1 + r], seg[:r], out=seg[:r])
-            if (n0 + e) % L == 0:
-                k = n0 + e - L
-                rows = tab.lp[k:k + L, None, None] - self._cumz[k - b:k + L - b]
-                _scan(np.logaddexp, rows[::-1])
-                self._suffix = rows
-            i = e
+        rows = a.reshape(m, -1)
+        c0 = n0 % L
+        e0 = min(m, L - c0)
+        whole, t = divmod(m - e0, L)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            state = _scan(rows[None, :e0], self._prefix if c0 else None)
+            if whole:
+                _scan(rows[e0:m - t].reshape(whole, L, -1))
+            if t:
+                state = _scan(rows[None, m - t:])
+            self._prefix = state
+            r = min(e0, L - 1 - c0)
+            if n0 >= L and r > 0:
+                _logaddexp_into(rows[:r], self._suffix[c0:c0 + r])
+            # each chunk that ends in the block gets its suffixes, local
+            # indices L-1 down to 1, by the same scan over its rows newest
+            # first; with L = 1 the window is the newest candidate alone
+            done = whole + (e0 == L - c0) if L > 1 else 0
+            if done:
+                k = n0 + m - t - done * L
+                rev = (tab.lp[k:k + done * L][::-1, None, None]
+                       - self._cumz[k - b:k + done * L - b][::-1])
+                rev = rev.reshape(done, L, -1)
+                _scan(rev[:, :-1])
+                # suf[q, c] is chunk q's suffix from local index c + 1
+                suf = rev[::-1, -2::-1]
+                if whole:
+                    _logaddexp_into(rows[e0:m - t].reshape(whole, L, -1)[:, :-1],
+                                    suf[:whole])
+                if t:
+                    _logaddexp_into(rows[m - t:], suf[-1, :t])
+                self._suffix = suf[-1]
         # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
         t1 = cumz[1:] + a
         mix = _lse(t1 + tab.logw, axis=2)
@@ -538,6 +615,16 @@ class Detector:
         max_g sum_k <= sum_k max_g, it is below ``log_sup_values``, and it
         is at least ``log_mix_values`` because the weights sum to 1."""
         return self._bound[self.n - self._end - 1]
+
+    @property
+    def screen_slack(self) -> float:
+        """How far ``sup_lower_bounds`` may round above ``log_sup_values``.
+        Both are log-sum-exps of cumz and log-pmf terms and round at the
+        scale of the largest of them, which the slack covers by a wide
+        margin: 256 ulp of the largest |cumz| or |log-pmf| looked ahead so
+        far, and at least 256 ulp of 1.  The rule lowers its competitor
+        screen thresholds by it, so that the screen stays conservative."""
+        return _SLACK_ULPS * float(np.spacing(self._scale))
 
     @property
     def log_sup_values(self) -> np.ndarray:

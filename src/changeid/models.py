@@ -10,6 +10,7 @@ i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
@@ -124,6 +125,23 @@ class ARGaussianSignal:
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
         if not np.all(np.isfinite(self.ar_coeffs)):
             raise ModelError(f"AR coefficients must be finite, got {self.ar_coeffs}")
+        if isinstance(self.signal, ConstantSignal):
+            # a constant signal's Q is closed form, so its information
+            # number is checked here (a zero Q stays allowed); a sine
+            # signal's Q needs a long whitening, which construction skips
+            q = self.whitened_energy()
+            if q == np.inf:
+                raise ModelError(
+                    f"ar_coeffs {list(self.ar_coeffs)} with amplitude "
+                    f"{self.signal.amplitude!r}: the whitened signal energy "
+                    f"(amplitude * (1 - sum(ar_coeffs)))**2 overflows")
+            with np.errstate(over="ignore"):
+                info = self.info_number(self.theta_max)
+            if info == np.inf:
+                raise ModelError(
+                    f"sigma {self.sigma!r}: the information number "
+                    f"theta_max**2 * Q / (2 * sigma**2) overflows at "
+                    f"theta_max {self.theta_max!r} with Q {q!r}")
 
     def _check_theta(self, theta: float) -> None:
         if not (self.theta_min <= theta <= self.theta_max):
@@ -153,7 +171,10 @@ class ARGaussianSignal:
         # computed once per model: a non-constant signal whitens
         # _ENERGY_WINDOW samples, and every information number reads Q
         if isinstance(self.signal, ConstantSignal):
-            return (self.signal.amplitude * (1.0 - sum(self.ar_coeffs))) ** 2
+            try:
+                return (self.signal.amplitude * (1.0 - sum(self.ar_coeffs))) ** 2
+            except OverflowError:
+                return math.inf
         st = whiten(self.signal_values(_ENERGY_WINDOW), self.ar_coeffs)
         return float(np.mean(st ** 2))
 

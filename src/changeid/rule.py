@@ -185,7 +185,10 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     step is then committed with ``advance()``, and only a step at which some
     stream passes the screen gets an exact frame.  The screen never
     changes the verdict: its ratios bound the exact ones from above, so a
-    step it rejects fails the exact criterion too.
+    step it rejects fails the exact criterion too.  In floating point the
+    bounds can round above the exact values, so the screen lowers its
+    competitor thresholds by ``Detector.screen_slack``; a step that only the
+    slack admits costs an exact frame, and the frame decides.
     """
     obs = path.observations if isinstance(path, TrialPath) else np.asarray(path, dtype=float)
     n_streams, horizon = obs.shape
@@ -203,8 +206,11 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
         # stops short of a non-finite observation, and raises at its step
         # on the next block, after any earlier stop has won
         mix, bound = det.lookahead(obs[:, t:t + size])
+        # the bounds may round above the exact sup by the detector's slack
+        screen_a = log_a.copy()
+        screen_a[:, 1:] -= det.screen_slack
         cand = _met(log_ratio_matrix(mix, lsv[t:t + len(mix)], bound),
-                    log_a).any(axis=-1).tolist()
+                    screen_a).any(axis=-1).tolist()
         for hit in cand:
             det.advance()
             t += 1
@@ -215,7 +221,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
             # reads ``Detector.sup_lower_bounds`` (perfbench/tracer.py,
             # REQUIRED)
             if not _met(log_ratio_matrix(det.log_mix_values, lsv[t - 1],
-                                         det.sup_lower_bounds), log_a).any():
+                                         det.sup_lower_bounds), screen_a).any():
                 continue
             verdict = check_stop(det.frame(), thresholds)
             if verdict is not None:

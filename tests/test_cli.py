@@ -731,8 +731,9 @@ class TestCommandLine:
 
 class TestExtremeModelParameters:
     """A parameter whose square the information number reads must have a
-    positive finite square; one that does not exits 2 when the model is
-    built, not in the arithmetic of a later step."""
+    positive finite square, and a constant signal's energy Q and its
+    information number at theta_max must be finite; a model that breaks
+    this exits 2 when it is built, not in the arithmetic of a later step."""
 
     AR = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0}
 
@@ -752,8 +753,16 @@ class TestExtremeModelParameters:
           "mixing": dict(BASE_CONFIG["mixing"], max=1e200),
           "theta_points": [1e200]},
          "theta_max squared must be a positive finite float, got 1e+300"),
+        ({"models": [dict(AR, ar_coeffs=[-1e160])] * 2},
+         "ar_coeffs [-1e+160] with amplitude 1.0: the whitened signal energy "
+         "(amplitude * (1 - sum(ar_coeffs)))**2 overflows"),
+        ({"models": [dict(AR, sigma=1e-100,
+                          signal={"kind": "constant", "amplitude": 1e100})] * 2},
+         "sigma 1e-100: the information number theta_max**2 * Q / "
+         "(2 * sigma**2) overflows at theta_max 2.0 with Q 1e+200"),
     ], ids=["sigma_underflow", "sigma_overflow", "constant_amplitude",
-            "sine_amplitude", "theta_max"])
+            "sine_amplitude", "theta_max", "energy_overflow",
+            "information_overflow"])
     def test_exit_2_naming_the_field(self, config_path, capsys, command,
                                      overrides, message):
         assert main([command, "--config", config_path(overrides)]) == 2

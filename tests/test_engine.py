@@ -1,6 +1,6 @@
 import gc
 import math
-import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -112,8 +112,8 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("window", [None, 4])
     def test_ar_order_two_matches_llr_increments(self, rng, window):
-        # the engine's carried AR history against scipy's whitening;
-        # 2 x 48 entries a row take the engine's row-by-row scan
+        # the engine's carried AR history against scipy's whitening,
+        # on rows of 2 x 48 entries
         prior = ChangePointPrior.geometric(0.1)
         models = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5, -0.3),
                                    signal=SineSignal(0.3, amplitude=2.0)),
@@ -275,7 +275,7 @@ class TestLookahead:
     @pytest.mark.parametrize("capacity", [16, 1024])
     def test_blocks_match_per_step(self, window, capacity):
         prior = ChangePointPrior.geometric(0.05, q=0.1)
-        # 3 x 32 entries a row take the engine's row-by-row scan
+        # narrow rows and wide ones, 3 x 6 and 3 x 32 entries
         for grid_pts in (6, 32):
             self._blocks_match_per_step(
                 prior, MixingMeasure.uniform(0.25, 2.0, grid_pts, spacing="log"),
@@ -378,32 +378,155 @@ class TestLookahead:
 
 
 class TestScan:
-    """``_scan`` calls ``accumulate`` on narrow rows and loops over wide
-    ones; both paths give ``np.logaddexp.accumulate``'s bits."""
+    """The running log-sum-exp of ``lookahead`` carries each column as an
+    offset and a linear sum.  It re-bases at a row with an entry far above
+    the offset, and where a column without prior mass meets a finite entry;
+    a re-base depends only on the carried state and the row, so the
+    statistics stay the same bits whatever the blocks."""
+
+    IID = [ARGaussianSignal(0.25, 2.0), ARGaussianSignal(0.25, 2.0)]
+    MIX = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+    T = 300
+
+    @classmethod
+    def _outlier_path(cls):
+        obs = np.random.default_rng(21).standard_normal((2, cls.T)) + 0.3
+        # theta * x lowers cumz by up to 1 000: the newest candidate's
+        # entry lies far more than the headroom above every earlier one
+        obs[0, 120] = -500.0
+        obs[1, 200] = -400.0
+        return obs
+
+    @staticmethod
+    def _hole_prior():
+        # no mass before k = 20, between 60 and 130, and after 250
+        probs = np.ones(250)
+        probs[:20] = 0.0
+        probs[60:130] = 0.0
+        return ChangePointPrior("explicit_pmf", probs=probs)
+
+    def _case(self, case):
+        if case == "outlier":
+            return ChangePointPrior.geometric(0.05, q=0.1), self._outlier_path()
+        rng = np.random.default_rng(22)
+        return self._hole_prior(), rng.standard_normal((2, self.T)) + 0.3
 
     @pytest.mark.parametrize("rows", [1, 2, 64, 201])
     @pytest.mark.parametrize("width", [2, 32])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_both_paths_match_accumulate(self, monkeypatch, rows, width,
-                                         reverse):
+    def test_both_paths_match_accumulate(self, rows, width, reverse):
+        """The scan's bulk runs and its re-base rows give the values of
+        ``np.logaddexp.accumulate``, -inf where it has -inf, and the same
+        bits when the rows are split into two calls."""
         rng = np.random.default_rng(rows * width)
-        base = rng.standard_normal((rows, 3, width)) * 30.0
-        # zero prior mass: whole rows, columns and single entries of -inf
+        # steps of hundreds re-base often; zero prior mass gives whole
+        # rows, columns and single entries of -inf
+        base = rng.standard_normal((rows, 3, width)) * 300.0
         base[rng.random(base.shape) < 0.1] = -np.inf
         base[::7] = -np.inf
         base[:, 1, 0] = -np.inf
         want = np.logaddexp.accumulate(base[::-1] if reverse else base, axis=0)
-        # a threshold of 0 takes the row loop, an endless one ``accumulate``
-        for threshold in (0, sys.maxsize):
-            monkeypatch.setattr(engine, "_ROW_SCAN_ENTRIES", threshold)
+        runs = []
+        for split in (rows, rows // 2):
             a = base.copy()
-            view = a[::-1] if reverse else a
-            engine._scan(np.logaddexp, view)
-            assert view.tobytes() == want.tobytes()
+            view = (a[::-1] if reverse else a).reshape(1, rows, -1)
+            assert np.shares_memory(view, a)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                state = engine._scan(view[:, :split]) if split else None
+                engine._scan(view[:, split:], state)
+            runs.append(view.reshape(want.shape))
+        assert runs[0].tobytes() == runs[1].tobytes()
+        assert np.array_equal(np.isneginf(runs[0]), np.isneginf(want))
+        np.testing.assert_allclose(runs[0], want, rtol=1e-13)
 
-    def test_wide_test_grids_take_the_row_path(self):
-        # the block and oracle tests cover both scan paths while this holds
-        assert 3 * 6 < engine._ROW_SCAN_ENTRIES <= min(3 * 32, 2 * 48)
+    def test_cases_force_rebases(self):
+        prior, obs = self._case("outlier")
+        det = Detector(prior, self.IID, self.MIX, capacity=self.T)
+        det.lookahead(obs)
+        a = det.tables.lp[:self.T, None, None] - det._cumz[:self.T]
+        running = np.logaddexp.accumulate(a, axis=0)
+        assert np.any(a[1:] - running[:-1] > engine._HEADROOM)
+        lp = self._hole_prior().log_pmf_head_merged(self.T)
+        assert np.isneginf(lp[:20]).all() and np.isneginf(lp[60:130]).all()
+        assert np.isneginf(lp[250:]).all()
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 50])
+    @pytest.mark.parametrize("case", ["outlier", "holes"])
+    def test_blocks_match_single_steps_across_rebases(self, window, case):
+        prior, obs = self._case(case)
+        rng = np.random.default_rng(23)
+        cuts = np.sort(rng.choice(np.arange(1, self.T), size=12, replace=False))
+        single = Detector(prior, self.IID, self.MIX, window=window, capacity=16)
+        blocks = Detector(prior, self.IID, self.MIX, window=window, capacity=16)
+        bounds = [0, *cuts.tolist(), self.T]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                mix_rows, bound_rows = blocks.lookahead(obs[:, lo:hi])
+                for t in range(lo, hi):
+                    one = single.step(obs[:, t])
+                    blocks.advance()
+                    assert mix_rows[t - lo].tobytes() == one.log_mix.tobytes()
+                    assert (bound_rows[t - lo].tobytes()
+                            == single.sup_lower_bounds.tobytes())
+                    assert blocks.frame().log_ratio.tobytes() == \
+                           one.log_ratio.tobytes()
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 50])
+    @pytest.mark.parametrize("case", ["outlier", "holes"])
+    def test_matches_oracle_across_rebases(self, window, case):
+        prior, obs = self._case(case)
+        det = Detector(prior, self.IID, self.MIX, window=window)
+        det.lookahead(obs)
+        grids, weights = [self.MIX.grid] * 2, [self.MIX.weights] * 2
+        empty = 0
+        for n in range(1, self.T + 1):
+            det.advance()
+            if n % 7 and n not in (120, 121, 201, 251):
+                continue
+            frame = det.frame()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                o_mix, o_sup, _, _ = oracle_frame(obs, prior, grids, weights,
+                                                  n, window=window)
+            # -inf where the window holds no prior mass, on both sides
+            empty += np.isneginf(o_mix).sum()
+            np.testing.assert_allclose(frame.log_mix, o_mix, rtol=1e-12, atol=1e-9)
+            np.testing.assert_allclose(frame.log_sup, o_sup, rtol=1e-12, atol=1e-9)
+        assert (empty > 0) == (case == "holes")
+
+    def test_accuracy_against_longdouble(self):
+        """On a long full-mode path the scan is closer to an 80-bit
+        running log-sum-exp than the ``np.logaddexp`` chain it replaced."""
+        if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+            pytest.skip("no extended precision on this platform")
+        prior = ChangePointPrior.geometric(1e-3)
+        mix = MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
+        obs = np.random.default_rng(24).standard_normal((2, 4000))
+        obs[1, 1000:] += 0.5
+        det = Detector(prior, self.IID, mix, capacity=4000)
+        got = det.lookahead(obs)[0]
+        lp, cumz = det.tables.lp[:4000], det._cumz[:4001]
+        a = lp[:, None, None] - cumz[:-1]
+        chain = engine._lse(cumz[1:] + np.logaddexp.accumulate(a, axis=0)
+                            + det.tables.logw, axis=2)
+        # the reference: a longdouble sum rescaled when it would overflow
+        wide = a.astype(np.longdouble)
+        off, total = wide[0].copy(), np.ones(wide.shape[1:], np.longdouble)
+        ref_b = np.empty_like(wide)
+        ref_b[0] = wide[0]
+        for k in range(1, len(wide)):
+            up = wide[k] > off + 5000
+            total = np.where(up, total * np.exp(off - wide[k]), total)
+            off = np.where(up, wide[k], off)
+            total = total + np.exp(wide[k] - off)
+            ref_b[k] = off + np.log(total)
+        t = cumz[1:].astype(np.longdouble) + ref_b + det.tables.logw
+        top = t.max(axis=2, keepdims=True)
+        ref = np.log(np.exp(t - top).sum(axis=2)) + top[..., 0]
+        err = float(np.abs(got - ref).max())
+        err_chain = float(np.abs(chain - ref).max())
+        assert err <= err_chain
+        assert err < 1e-12
 
 
 class TestSlidingBuffer:
@@ -438,7 +561,7 @@ class TestSlidingBuffer:
 
     @pytest.mark.parametrize("window", [1, 7, 50, 300])
     def test_long_path_blocks_match_per_step(self, window):
-        # 3 x 32 entries a row take the engine's row-by-row scan
+        # narrow rows and wide ones, 3 x 6 and 3 x 32 entries
         for grid_pts in (6, 32):
             self._long_path_blocks_match_per_step(
                 MixingMeasure.uniform(0.25, 2.0, grid_pts, spacing="log"),

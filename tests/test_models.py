@@ -121,6 +121,20 @@ class TestARGaussianSignal:
     def test_info_number_ar1(self):
         assert self._model().info_number(2.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("kw, field", [
+        (dict(ar_coeffs=(-1e160,)), "ar_coeffs"),
+        (dict(sigma=1e-100, signal=ConstantSignal(1e100)), "sigma")],
+        ids=["energy", "information"])
+    def test_constant_signal_information_must_be_finite(self, kw, field):
+        with pytest.raises(ModelError, match=f"^{field} .* overflows"):
+            self._model(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(signal=ConstantSignal(0.0)), dict(ar_coeffs=(0.75, 0.25))],
+        ids=["zero_amplitude", "unit_ar_sum"])
+    def test_zero_energy_allowed(self, kw):
+        assert self._model(**kw).info_number(2.0) == 0.0
+
     def test_increment_matches_innovation_density_ratio(self, rng):
         model = self._model(ar_coeffs=(0.4, 0.1), sigma=1.3)
         x = rng.standard_normal(30)

@@ -212,6 +212,30 @@ class TestScreen:
         assert stops > 0
 
 
+    def test_screen_admits_a_ratio_its_bound_rounds_below(self):
+        """``sup_lower_bounds`` can round above ``log_sup_values``.  A
+        threshold set to the exact ratio at n = 3 then fails the unslacked
+        screen there, and ``run`` stopped 4 steps late; the screen's slack
+        keeps the step."""
+        prior = ChangePointPrior.geometric(0.05, q=0.0)
+        mix = MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
+        models = [ARGaussianSignal(0.25, 2.0),
+                  ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5,))]
+        path = simulate(models, 400, np.random.default_rng(0), stream=1,
+                        theta=0.5, nu=100)
+        det = Detector(prior, models, mix)
+        for t in range(3):
+            frame = det.step(path.observations[:, t])
+        excess = det.sup_lower_bounds[1] - det.log_sup_values[1]
+        assert excess > 0
+        th = ThresholdMatrix(np.array([[-1e6, np.nan, frame.log_ratio[0, 2]],
+                                       [1e6, 1e6, np.nan]]))
+        assert check_stop(frame, th).time == 3
+        got = run(models, prior, mix, th, path)
+        assert (got.time, got.stream) == (3, 1)
+        assert excess < det.screen_slack
+
+
 class TestNonFinite:
     """A non-finite observation stops ``run`` only if no earlier step
     stops it: the rule returns the earlier verdict, and otherwise raises at
