@@ -13,7 +13,7 @@ parent first on the first, third, ... seed and second on the others, so
 that drift of the machine's speed falls on both sides alike.  With
 ``--trace-seed`` each side also makes one ``--trace 1`` run.  Last,
 ``scripts/kernel_sweep.py`` of the working tree times each side's
-``Detector.lookahead`` over its N x G sweep.
+``Detector.lookahead`` over its N x G sweep and its exact frames over n.
 
 The output keeps every run record that perfbench wrote and summarizes
 each workload: for every end-to-end metric of BENCHMARK.json the values
@@ -44,7 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 # per-layer numbers worth a line in the summary; the traced records keep all
 LAYER_KEYS = ("engine.advance_calls", "engine.advance_us", "engine.frame_calls",
-              "engine.init_us", "engine.log_mix_values_us",
+              "engine.frame_us", "engine.init_us", "engine.log_mix_values_us",
               "engine.sup_lower_bounds_us", "models.simulate_calls",
               "rule.check_stop_us", "rule.exact_frame_ratio",
               "rule.run_self_us_per_step", "rule.screen_pass_ratio",
@@ -96,7 +96,7 @@ def run_side(root: str, seed: int, seconds: float, trace: int,
 
 
 def kernel_table(root: str) -> dict:
-    """The N x G table of scripts/kernel_sweep.py for the engine in ``root``."""
+    """The tables of scripts/kernel_sweep.py for the engine in ``root``."""
     cmd = [sys.executable, os.path.join(ROOT, "scripts", "kernel_sweep.py"),
            "--src", os.path.join(root, "src")]
     print(f"[{os.path.basename(root)}] scripts/kernel_sweep.py", flush=True)
@@ -200,8 +200,9 @@ def main(argv=None) -> int:
                  + (f", plus one `--trace 1 --seed {args.trace_seed}` run per "
                     "side" if traced else "")
                  + ", written by scripts/bench_pairs.py; `kernel` holds each "
-                   "side's table from scripts/kernel_sweep.py (us per "
-                   "looked-ahead step over N x G). Summary per workload "
+                   "side's tables from scripts/kernel_sweep.py (us per "
+                   "looked-ahead step over N x G, and us per exact frame "
+                   "over n). Summary per workload "
                    "and end-to-end metric: medians, quartiles, pairs the "
                    "change won, change_worse_by = relative change of the "
                    "median in the metric's worse direction, relative_spread "

@@ -1,4 +1,5 @@
-"""Microseconds per looked-ahead step of ``Detector.lookahead`` over N x G.
+"""Microseconds per looked-ahead step of ``Detector.lookahead`` over N x G,
+and per exact ``Detector.frame`` over n.
 
 Usage (from the repository root):
 
@@ -11,6 +12,12 @@ next.  Only the ``lookahead`` calls are timed, and the best of ``REPS``
 repetitions is kept.  Short windows split a block into many chunks, so
 they show the per-chunk cost of the windowed scan.
 
+The ``frames`` table times one exact frame, ``Detector.frame()``, at the
+committed times n in {100, 1 000, 10 000}, in full mode and at window 200,
+for N = 2, G = 8 and for N = 8, G = 32: a detector looks ahead and commits
+n Gaussian observations in 64-step blocks, then builds ``FRAME_CALLS``
+frames at n per repetition, and the best of ``REPS`` repetitions is kept.
+
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
 """
@@ -21,6 +28,7 @@ import json
 import os
 import sys
 import time
+import timeit
 
 import numpy as np
 
@@ -31,6 +39,10 @@ WINDOWS = (None, 1, 7, 50, 200)
 BLOCK = 64
 STEPS = 1280
 REPS = 7
+FRAME_NS = (100, 1_000, 10_000)
+FRAME_SHAPES = ((2, 8), (8, 32))
+FRAME_WINDOWS = (None, 200)
+FRAME_CALLS = 5
 
 
 def time_path(engine, prior, models, mixing, window, obs) -> float:
@@ -46,6 +58,19 @@ def time_path(engine, prior, models, mixing, window, obs) -> float:
         for _ in range(block.shape[1]):
             det.advance()
     return spent
+
+
+def time_frame(engine, prior, models, mixing, window, obs) -> float:
+    """Seconds per ``frame`` at n = obs.shape[1], after committing ``obs``."""
+    det = engine.Detector(prior, models, mixing, window=window,
+                          capacity=obs.shape[1])
+    for lo in range(0, obs.shape[1], BLOCK):
+        block = obs[:, lo:lo + BLOCK]
+        det.lookahead(block)
+        for _ in range(block.shape[1]):
+            det.advance()
+    return min(timeit.repeat(det.frame, number=FRAME_CALLS,
+                             repeat=REPS)) / FRAME_CALLS
 
 
 def sweep(src: str) -> dict:
@@ -68,7 +93,20 @@ def sweep(src: str) -> dict:
                 rows.append({"streams": n, "grid": g, "entries": n * g,
                              "window": window,
                              "us_per_step": round(1e6 * best / STEPS, 3)})
-    return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows}
+    frames = []
+    for n, g in FRAME_SHAPES:
+        models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
+        mixing = engine.MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
+        obs = rng.standard_normal((n, max(FRAME_NS)))
+        for window in FRAME_WINDOWS:
+            for steps in FRAME_NS:
+                spent = time_frame(engine, prior, models, mixing, window,
+                                   obs[:, :steps])
+                frames.append({"streams": n, "grid": g, "window": window,
+                               "n": steps,
+                               "us_per_frame": round(1e6 * spent, 3)})
+    return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows,
+            "frame_calls": FRAME_CALLS, "frames": frames}
 
 
 def main(argv=None) -> int:

@@ -159,7 +159,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     command line) applied; ranges are checked on the values in force."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it: the same
+            # resolver and constructors as the pure-Python safe loader
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

@@ -22,7 +22,13 @@ every row.  From b the engine derives, each step:
 
 and on demand the exact sup-over-grid statistic (denominator against
 stream j) and the ratio matrix against the no-change hypothesis and every
-competitor.
+competitor.  Every reduction over the grid runs along a leading axis, where
+numpy reduces whole rows at a time rather than one short row per call: the
+per-grid-point mixtures of a block are copied into a (grid, m, N) buffer,
+whose max is the screen bound and whose log-sum-exp, with the terms summed
+in grid order, is the mixture; an exact frame folds the max over the grid
+into its (n - s, N) rows one grid point at a time.  A max is exact in any
+order, so the bound and the exact statistic do not depend on the layout.
 
 Observations enter through one kernel, ``Detector.lookahead``, which
 computes all of this for a block of m steps in a few numpy calls over
@@ -92,12 +98,16 @@ class EngineError(ValueError):
     """Invalid engine configuration or observation."""
 
 
-def _lse(a: np.ndarray, axis=None) -> np.ndarray:
-    """log(sum(exp(a))) robust to -inf entries."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+def _lse(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the leading axis, robust to -inf entries,
+    summed in the order of that axis; a is overwritten."""
+    m = a.max(axis=0)
+    m[~np.isfinite(m)] = 0.0
+    a -= m
+    np.exp(a, out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+        out = np.log(a.sum(axis=0))
+    out += m
     return out
 
 
@@ -490,10 +500,11 @@ class Detector:
         """Compute the statistics of the next steps from an (N, m) block of
         observations, without committing them; ``advance`` then commits
         them one at a time.  The block is looked ahead up to its first
-        non-finite observation, which raises only when it is the block's
-        first: a caller commits the usable steps, and its next look-ahead
-        raises at the bad step.  Returns the rows of ``log_mix_values`` and
-        of ``sup_lower_bounds`` for the looked-ahead steps, one per step.
+        non-finite observation or log-likelihood ratio that overflows,
+        which raises only when it is the block's first step: a caller
+        commits the usable steps, and its next look-ahead raises at the bad
+        step.  Returns the rows of ``log_mix_values`` and of
+        ``sup_lower_bounds`` for the looked-ahead steps, one per step.
 
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
@@ -527,10 +538,19 @@ class Detector:
         b = self._base
         tab = self.tables
         hist = np.concatenate((self._history, block), axis=1)
-        self._history = hist[:, m:]
         cumz = self._cumz[n0 - b:n0 + m + 1 - b]
-        cumz[1:] = tab.increments(n0, hist)
-        np.add.accumulate(cumz, axis=0, out=cumz)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumz[1:] = tab.increments(n0, hist)
+            np.add.accumulate(cumz, axis=0, out=cumz)
+        # a ratio that overflows stays non-finite through the running sum,
+        # so the last row tells whether the block holds one
+        if not np.isfinite(cumz[-1]).all():
+            m = int(np.argmin(np.isfinite(cumz[1:]).all(axis=(1, 2))))
+            if m == 0:
+                raise EngineError(f"log-likelihood ratio overflows at step "
+                                  f"{n0 + 1}: {block[:, 0]}")
+            cumz = cumz[:m + 1]
+        self._history = hist[:, m:m + tab.ar.shape[1]]
         # the magnitudes the screen's slack scales with
         lp = tab.lp[n0:n0 + m]
         low = lp.min()
@@ -575,10 +595,17 @@ class Detector:
                 if t:
                     _logaddexp_into(rows[m - t:], suf[-1, :t])
                 self._suffix = suf[-1]
-        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n)
-        t1 = cumz[1:] + a
-        mix = _lse(t1 + tab.logw, axis=2)
-        bound = t1.max(axis=2)
+        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n), copied
+        # into a grid-point-major buffer so that the reductions over the
+        # grid run along a leading axis (numpy reduces a short trailing
+        # axis row by row); a ufunc on the transposed view would keep its
+        # strided memory order
+        a += cumz[1:]
+        t1 = np.empty((a.shape[2], m, self.n_streams))
+        np.copyto(t1, a.transpose(2, 0, 1))
+        bound = t1.max(axis=0)
+        t1 += tab.logw.T[:, None]
+        mix = _lse(t1)
         # the last rows so far are those of the committed time n
         self._mix = np.concatenate((self._mix[-1:], mix))
         self._bound = np.concatenate((self._bound[-1:], bound))
@@ -630,8 +657,17 @@ class Detector:
     def log_sup_values(self) -> np.ndarray:
         """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,)."""
         s, n, b = self._window_start, self.n, self._base
-        rowmax = (self._cumz[n - b] - self._cumz[s - b:n - b]).max(axis=2)
-        return _lse(self.tables.lp[s:n, None] + rowmax, axis=0)
+        top = self._cumz[n - b]
+        rows = self._cumz[s - b:n - b]
+        # the max over the grid, folded in one grid point at a time: no
+        # (n - s, N, G) temporary, and no reduction along the short last axis
+        rowmax = top[:, 0] - rows[..., 0]
+        d = np.empty_like(rowmax)
+        for g in range(1, top.shape[1]):
+            np.subtract(top[:, g], rows[..., g], out=d)
+            np.maximum(rowmax, d, out=rowmax)
+        rowmax += self.tables.lp[s:n, None]
+        return _lse(rowmax)
 
     @property
     def log_survivor(self) -> float:

@@ -203,8 +203,9 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     size = _FIRST_BLOCK
     t = 0
     while t < horizon:
-        # stops short of a non-finite observation, and raises at its step
-        # on the next block, after any earlier stop has won
+        # stops short of a non-finite observation or an overflowing ratio,
+        # and raises at its step on the next block, after any earlier stop
+        # has won
         mix, bound = det.lookahead(obs[:, t:t + size])
         # the bounds may round above the exact sup by the detector's slack
         screen_a = log_a.copy()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -315,6 +316,19 @@ class TestDetect:
         data = tmp_path / "empty.csv"
         data.write_text("")
         assert main(["detect", "--config", config_path(), str(data)]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_exit_2(self, config_path, tmp_path, capsys):
+        # theta * x overflows at theta = 2 on the first row: no statistic
+        # is a number, so the run fails there rather than never passing
+        data = tmp_path / "huge.csv"
+        data.write_text("t,stream_1,stream_2\n1,1e308,1e308\n"
+                        "2,-1e308,1e308\n3,1e308,-1e308\n")
+        assert main(["detect", "--config", config_path(), str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: log-likelihood ratio overflows at step 1:")
 
     def test_nan_cell_exit_2(self, config_path, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -818,6 +832,82 @@ def test_config_without_plan_keys_loads_the_defaults(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(sections))
     assert load_config(str(path)) == RunConfig(**sections)
+
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "workloads.py")
+
+
+class TestYamlLoader:
+    """``load_config`` parses with libyaml where PyYAML was built with it.
+    It shares the pure-Python safe loader's resolver and constructors, so
+    both give the same config."""
+
+    # every section, each plan key, and scalars the resolver types
+    EVERY_SECTION = (
+        "# a comment\n"
+        "prior: {kind: discrete_weibull, kappa: 0.5, scale: 40.0, q: 1.0e-2}\n"
+        "models:\n"
+        "  - {kind: gaussian, theta_min: 0.25, theta_max: 2, sigma: 1.5}\n"
+        "  - kind: ar_gaussian\n"
+        "    theta_min: .25\n"
+        "    theta_max: 2.0\n"
+        "    ar_coeffs: [0.5, -0.2]\n"
+        "    stationary_init: false\n"
+        "    signal: {kind: sine, omega: 0.3, amplitude: 3.0}\n"
+        "mixing: {min: 0.25, max: 2.0, count: 12, spacing: linear,\n"
+        "         weights: gaussian, v: 1.0}\n"
+        "targets: {alpha: 0.05, beta: 0.01, beta_bar: 0.02}\n"
+        "horizon: 500\ntrials: 40\nseed: 7\nthreads: 2\nwindow: 50\n"
+        "theta_points: [0.5, 1.0]\nchange_stream: 2\nout: 'runs/one'\n")
+
+    @staticmethod
+    def _both(path, monkeypatch):
+        """The config in ``path`` by the default loader and by the
+        pure-Python one, and the loaders ``yaml.load`` was called with."""
+        used, load = [], yaml.load
+
+        def spy(fh, Loader):
+            used.append(Loader)
+            return load(fh, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        fast = load_config(path)
+        with monkeypatch.context() as m:
+            m.delattr(yaml, "CSafeLoader")
+            slow = load_config(path)
+        return fast, slow, used
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
+    def test_same_config_as_the_pure_python_loader(self, tmp_path,
+                                                   monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      WORKLOADS_PATH)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve their annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        texts = [yaml.safe_dump(workloads.config_dict(name))
+                 for name in workloads.NAMES] + [self.EVERY_SECTION]
+        for i, text in enumerate(texts):
+            path = tmp_path / f"cfg{i}.yaml"
+            path.write_text(text)
+            fast, slow, used = self._both(str(path), monkeypatch)
+            assert fast == slow
+            assert used == [yaml.CSafeLoader, yaml.SafeLoader]
+        assert fast.prior["q"] == 0.01 and fast.out == "runs/one"
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_invalid_yaml_exit_2(self, tmp_path, monkeypatch, capsys, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not yaml.__with_libyaml__:
+            pytest.skip("no libyaml")
+        path = tmp_path / "cfg.yaml"
+        path.write_text("prior: [1, 2\n")
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config file is not valid YAML:")
 
 
 class TestImportFootprint:

@@ -376,6 +376,26 @@ class TestLookahead:
         assert "non-finite observation at step 6" in str(got.value)
         assert det.n == 5
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_inside_block_names_its_step(self, rng):
+        prior, models, mix = make_setup()
+        obs = rng.standard_normal((2, 6))
+        # theta * x overflows at theta = 2: the ratio is not a number
+        obs[0, 2] = 1e308
+        per_step = Detector(prior, models, mix)
+        frames = [per_step.step(obs[:, t]) for t in range(2)]
+        det = Detector(prior, models, mix)
+        mix_rows, bound_rows = det.lookahead(obs)
+        assert len(mix_rows) == len(bound_rows) == 2
+        for t in range(2):
+            det.advance()
+            np.testing.assert_array_equal(frames[t].log_ratio,
+                                          det.frame().log_ratio)
+        with pytest.raises(EngineError,
+                           match="log-likelihood ratio overflows at step 3"):
+            det.lookahead(obs[:, 2:])
+        assert det.n == 2
+
 
 class TestScan:
     """The running log-sum-exp of ``lookahead`` carries each column as an
@@ -507,8 +527,9 @@ class TestScan:
         got = det.lookahead(obs)[0]
         lp, cumz = det.tables.lp[:4000], det._cumz[:4001]
         a = lp[:, None, None] - cumz[:-1]
-        chain = engine._lse(cumz[1:] + np.logaddexp.accumulate(a, axis=0)
-                            + det.tables.logw, axis=2)
+        chain = engine._lse(np.moveaxis(
+            cumz[1:] + np.logaddexp.accumulate(a, axis=0) + det.tables.logw,
+            2, 0))
         # the reference: a longdouble sum rescaled when it would overflow
         wide = a.astype(np.longdouble)
         off, total = wide[0].copy(), np.ones(wide.shape[1:], np.longdouble)
@@ -701,3 +722,93 @@ def test_mixture_matches_oracle_property(seed, n):
                                       [mix.weights] * 2, n)
     np.testing.assert_allclose(frame.log_mix, o_mix, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(frame.log_sup, o_sup, rtol=1e-9, atol=1e-9)
+
+
+def _lse_along(a, axis):
+    """The log-sum-exp over a grid axis as the engine once took it along a
+    trailing axis, where numpy sums in pairwise order: the reference for
+    the grid-order sum along a leading axis."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+
+
+class TestGridReductions:
+    """Every reduction over the mixing grid runs along a leading axis.  A
+    max is exact in any order, so the screen bound and the exact sup keep
+    the bits of the trailing-axis formulas; the mixture sums its terms in
+    grid order, within a few ulp of numpy's pairwise sum."""
+
+    MODELS = TestLookahead.MODELS[:2]
+    T = 120
+    CASES = [1, 7, 8, 9, 16, 32, 33, "pad5-9", "holes"]
+
+    @staticmethod
+    def _case(case):
+        geo = ChangePointPrior.geometric(0.05, q=0.1)
+        if case == "pad5-9":
+            return geo, [MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
+                         for g in (5, 9)]
+        if case == "holes":
+            # no mass before k = 20, between 50 and 80, and after 100
+            probs = np.ones(100)
+            probs[:20] = 0.0
+            probs[50:80] = 0.0
+            return (ChangePointPrior("explicit_pmf", probs=probs),
+                    MixingMeasure.uniform(0.25, 2.0, 8, spacing="log"))
+        return geo, MixingMeasure.uniform(0.25, 2.0, case, spacing="log")
+
+    def _obs(self):
+        return np.random.default_rng(31).standard_normal((2, self.T)) + 0.3
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_full_mode_matches_trailing_axis_formulas(self, case):
+        prior, mixing = self._case(case)
+        det = Detector(prior, self.MODELS, mixing, capacity=self.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix_rows, bound_rows = det.lookahead(self._obs())
+        tab, cumz = det.tables, det._cumz[:self.T + 1]
+        # full mode scans a first block in one call: the windowed mixture b
+        b = tab.lp[:self.T, None, None] - cumz[:-1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            engine._scan(b.reshape(1, self.T, -1))
+        t1 = cumz[1:] + b
+        assert bound_rows.tobytes() == t1.max(axis=2).tobytes()
+        want = _lse_along(t1 + tab.logw, axis=2)
+        # -inf, not NaN, where the window holds no prior mass
+        empty = np.isneginf(want)
+        assert empty.any() == (case == "holes")
+        assert np.array_equal(np.isneginf(mix_rows), empty)
+        ulp = np.spacing(np.maximum(np.abs(want[~empty]), 1.0))
+        assert np.all(np.abs(mix_rows[~empty] - want[~empty]) <= 4 * ulp)
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_exact_sup_and_blocks_match_single_steps(self, window, case):
+        prior, mixing = self._case(case)
+        obs = self._obs()
+        cuts = np.sort(np.random.default_rng(32).choice(
+            np.arange(1, self.T), size=8, replace=False))
+        single = Detector(prior, self.MODELS, mixing, window=window, capacity=16)
+        blocks = Detector(prior, self.MODELS, mixing, window=window, capacity=16)
+        bounds = [0, *cuts.tolist(), self.T]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                mix_rows, bound_rows = blocks.lookahead(obs[:, lo:hi])
+                for t in range(lo, hi):
+                    one = single.step(obs[:, t])
+                    blocks.advance()
+                    assert mix_rows[t - lo].tobytes() == one.log_mix.tobytes()
+                    assert (bound_rows[t - lo].tobytes()
+                            == single.sup_lower_bounds.tobytes())
+                    frame = blocks.frame()
+                    assert frame.log_ratio.tobytes() == one.log_ratio.tobytes()
+                    s, n, base = blocks._window_start, blocks.n, blocks._base
+                    cz = blocks._cumz
+                    rowmax = (cz[n - base] - cz[s - base:n - base]).max(axis=2)
+                    want = _lse_along(blocks.tables.lp[s:n, None] + rowmax,
+                                      axis=0)
+                    assert frame.log_sup.tobytes() == want.tobytes()
