@@ -13,7 +13,8 @@ parent first on the first, third, ... seed and second on the others, so
 that drift of the machine's speed falls on both sides alike.  With
 ``--trace-seed`` each side also makes one ``--trace 1`` run.  Last,
 ``scripts/kernel_sweep.py`` of the working tree times each side's
-``Detector.lookahead`` over its N x G sweep and its exact frames over n.
+``Detector.lookahead`` over its N x G sweep and per call over the block
+size, and its exact frames over n.
 
 The output keeps every run record that perfbench wrote and summarizes
 each workload: for every end-to-end metric of BENCHMARK.json the values
@@ -201,8 +202,9 @@ def main(argv=None) -> int:
                     "side" if traced else "")
                  + ", written by scripts/bench_pairs.py; `kernel` holds each "
                    "side's tables from scripts/kernel_sweep.py (us per "
-                   "looked-ahead step over N x G, and us per exact frame "
-                   "over n). Summary per workload "
+                   "looked-ahead step over N x G, us per lookahead call "
+                   "over the block size, and us per exact frame over n). "
+                   "Summary per workload "
                    "and end-to-end metric: medians, quartiles, pairs the "
                    "change won, change_worse_by = relative change of the "
                    "median in the metric's worse direction, relative_spread "

@@ -1,5 +1,6 @@
 """Microseconds per looked-ahead step of ``Detector.lookahead`` over N x G,
-and per exact ``Detector.frame`` over n.
+per ``lookahead`` call over the block size, and per exact
+``Detector.frame`` over n.
 
 Usage (from the repository root):
 
@@ -11,6 +12,13 @@ Gaussian observations in 64-step blocks and commits each block before the
 next.  Only the ``lookahead`` calls are timed, and the best of ``REPS``
 repetitions is kept.  Short windows split a block into many chunks, so
 they show the per-chunk cost of the windowed scan.
+
+The ``blocks`` table times one ``lookahead`` call of m steps, m in
+{1, 64, 256, 1 024}, for N = 2, G = 8 in full mode: a detector looks ahead
+``BLOCK_CALLS`` blocks of m Gaussian observations, committing each before
+the next, and the best of ``REPS`` repetitions is kept.  Its first row is
+the fixed cost of a call, which the rule's block size spreads over the
+block's steps.
 
 The ``frames`` table times one exact frame, ``Detector.frame()``, at the
 committed times n in {100, 1 000, 10 000}, in full mode and at window 200,
@@ -43,15 +51,19 @@ FRAME_NS = (100, 1_000, 10_000)
 FRAME_SHAPES = ((2, 8), (8, 32))
 FRAME_WINDOWS = (None, 200)
 FRAME_CALLS = 5
+BLOCK_SIZES = (1, 64, 256, 1024)
+BLOCK_CALLS = 16
 
 
-def time_path(engine, prior, models, mixing, window, obs) -> float:
-    """Seconds spent in ``lookahead`` over the path ``obs`` (N, T)."""
+def time_path(engine, prior, models, mixing, window, obs,
+              size=BLOCK) -> float:
+    """Seconds spent in ``lookahead`` over the path ``obs`` (N, T), looked
+    ahead in blocks of ``size`` steps."""
     det = engine.Detector(prior, models, mixing, window=window,
                           capacity=obs.shape[1])
     spent = 0.0
-    for lo in range(0, obs.shape[1], BLOCK):
-        block = obs[:, lo:lo + BLOCK]
+    for lo in range(0, obs.shape[1], size):
+        block = obs[:, lo:lo + size]
         t0 = time.perf_counter()
         det.lookahead(block)
         spent += time.perf_counter() - t0
@@ -105,7 +117,19 @@ def sweep(src: str) -> dict:
                 frames.append({"streams": n, "grid": g, "window": window,
                                "n": steps,
                                "us_per_frame": round(1e6 * spent, 3)})
+    blocks = []
+    models = [ARGaussianSignal(0.25, 2.0) for _ in range(2)]
+    mixing = engine.MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
+    obs = rng.standard_normal((2, BLOCK_CALLS * max(BLOCK_SIZES)))
+    for size in BLOCK_SIZES:
+        path = obs[:, :BLOCK_CALLS * size]
+        best = min(time_path(engine, prior, models, mixing, None, path, size)
+                   for _ in range(REPS))
+        blocks.append({"streams": 2, "grid": 8, "window": None,
+                       "block": size,
+                       "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
     return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows,
+            "block_calls": BLOCK_CALLS, "blocks": blocks,
             "frame_calls": FRAME_CALLS, "frames": frames}
 
 

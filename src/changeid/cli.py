@@ -155,8 +155,8 @@ def _load_table(raw: bytes, n_streams: int) -> Optional[np.ndarray]:
     if not raw.isascii():
         return None
     # with no lone "\r", every line ends at "\n", as it does for numpy, and
-    # the header is the first line
-    if raw.count(b"\r") != raw.count(b"\r\n"):
+    # the header is the first line; only a file with a "\r" is counted
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
         return None
     head, _, body = raw.partition(b"\n")
     expected = _header(n_streams)

@@ -92,6 +92,9 @@ _EMPTY = -np.finfo(float).max
 # the screen's slack in units of the last place of the largest magnitude
 # the statistics are summed from (``Detector.screen_slack``)
 _SLACK_ULPS = 256
+# the largest |cumz| a look-ahead takes: below it, every difference of two
+# rows and every sum of such a difference with a log-pmf stays finite
+_CUMZ_LIMIT = np.finfo(float).max / 4
 
 
 class EngineError(ValueError):
@@ -100,13 +103,14 @@ class EngineError(ValueError):
 
 def _lse(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the leading axis, robust to -inf entries,
-    summed in the order of that axis; a is overwritten."""
+    summed in the order of that axis; a is overwritten.  A column of -inf
+    is -inf.  Callers hold np.errstate with divide ignored."""
     m = a.max(axis=0)
-    m[~np.isfinite(m)] = 0.0
+    # an all -inf column subtracts a finite offset, not -inf - -inf
+    np.maximum(m, _EMPTY, out=m)
     a -= m
     np.exp(a, out=a)
-    with np.errstate(divide="ignore"):
-        out = np.log(a.sum(axis=0))
+    out = np.log(a.sum(axis=0))
     out += m
     return out
 
@@ -327,12 +331,14 @@ class StreamTables:
 @dataclass(frozen=True)
 class ConfigTables(StreamTables):
     """``StreamTables`` plus the model and mixing objects they were built
-    from, ``lp``, the merged prior log-pmf of k = 0..cap-1, and
+    from, ``lp``, the merged prior log-pmf of k = 0..cap-1, ``lp_scale``,
+    the largest finite |lp| of k = 0..n (0 while there is none), and
     ``log_survivor``, log P(nu >= n) for n = 1..cap."""
 
     models: tuple
     mixing: tuple
     lp: np.ndarray            # (cap,)
+    lp_scale: np.ndarray      # (cap,)
     log_survivor: np.ndarray  # (cap,)
 
 
@@ -382,9 +388,11 @@ def _shared_tables(prior: ChangePointPrior, models: Sequence[ARGaussianSignal],
     tables = _SHARED.get(prior)
     if (tables is None or tables.cap < cap or not _same(tables.models, models)
             or not _same(tables.mixing, mixing)):
+        lp = prior.log_pmf_head_merged(cap)
         tables = ConfigTables(
             **vars(stream_tables(models, mixing, cap)), models=tuple(models),
-            mixing=tuple(mixing), lp=prior.log_pmf_head_merged(cap),
+            mixing=tuple(mixing), lp=lp,
+            lp_scale=np.maximum.accumulate(np.where(lp > -np.inf, -lp, 0.0)),
             log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
         _SHARED[prior] = tables
     return tables
@@ -506,6 +514,13 @@ class Detector:
         step.  Returns the rows of ``log_mix_values`` and of
         ``sup_lower_bounds`` for the looked-ahead steps, one per step.
 
+        One check finds both: the block's largest |cumz|, which the
+        screen's slack reads too, must lie below float max / 4.  A
+        non-finite observation gives a non-finite increment, so a NaN or
+        infinite cumz, and below the bound every difference and sum the
+        kernel and the frames form stays finite.  Only a block that fails
+        looks for its first bad row, whose observation picks the message.
+
         Every statistic is computed here, a block at a time: the increments
         over the carried AR history, the rows of cumz by a cumulative sum,
         and the windowed mixture by the chunked scan.  The block's rows
@@ -521,13 +536,6 @@ class Detector:
             raise EngineError(f"expected an observation block of {self.n_streams} rows")
         if self.n < self._end:
             raise EngineError("looked-ahead steps are still to be committed")
-        finite = np.isfinite(block).all(axis=0)
-        if not finite.all():
-            m = int(np.argmin(finite))
-            if m == 0:
-                raise EngineError(f"non-finite observation at step "
-                                  f"{self.n + 1}: {block[:, 0]}")
-            block = block[:, :m]
         m = block.shape[1]
         n0 = self.n
         if n0 + m > self.tables.cap:
@@ -539,35 +547,34 @@ class Detector:
         tab = self.tables
         hist = np.concatenate((self._history, block), axis=1)
         cumz = self._cumz[n0 - b:n0 + m + 1 - b]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             cumz[1:] = tab.increments(n0, hist)
             np.add.accumulate(cumz, axis=0, out=cumz)
-        # a ratio that overflows stays non-finite through the running sum,
-        # so the last row tells whether the block holds one
-        if not np.isfinite(cumz[-1]).all():
-            m = int(np.argmin(np.isfinite(cumz[1:]).all(axis=(1, 2))))
-            if m == 0:
-                raise EngineError(f"log-likelihood ratio overflows at step "
-                                  f"{n0 + 1}: {block[:, 0]}")
-            cumz = cumz[:m + 1]
-        self._history = hist[:, m:m + tab.ar.shape[1]]
-        # the magnitudes the screen's slack scales with
-        lp = tab.lp[n0:n0 + m]
-        low = lp.min()
-        if low == -np.inf:
-            low = lp[lp > low].min(initial=0.0)
-        self._scale = max(self._scale, cumz.max(), -cumz.min(), -low)
-        # candidate k = n joins the window [n + 1 - L, n] at step n + 1; its
-        # chunk starts at n - c (c = n mod L), and the rest of the window is
-        # the previous chunk's suffix from local index c + 1.  ``a`` turns
-        # into the prefix scan and then into the windowed mixture b
-        L = self._chunk
-        a = tab.lp[n0:n0 + m, None, None] - cumz[:m]
-        rows = a.reshape(m, -1)
-        c0 = n0 % L
-        e0 = min(m, L - c0)
-        whole, t = divmod(m - e0, L)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # a NaN anywhere makes both NaN, and NaN < limit is false
+            hi = max(cumz.max(), -cumz.min())
+            if not hi < _CUMZ_LIMIT:
+                m = int(np.argmin(np.abs(cumz[1:]).max(axis=(1, 2)) < _CUMZ_LIMIT))
+                if m == 0:
+                    what = ("log-likelihood ratio overflows"
+                            if np.isfinite(block[:, 0]).all()
+                            else "non-finite observation")
+                    raise EngineError(f"{what} at step {n0 + 1}: {block[:, 0]}")
+                cumz = cumz[:m + 1]
+                hi = max(cumz.max(), -cumz.min())
+            self._history = hist[:, m:m + tab.ar.shape[1]]
+            # the magnitudes the screen's slack scales with
+            self._scale = max(self._scale, hi, tab.lp_scale[n0 + m - 1])
+            # candidate k = n joins the window [n + 1 - L, n] at step n + 1;
+            # its chunk starts at n - c (c = n mod L), and the rest of the
+            # window is the previous chunk's suffix from local index c + 1.
+            # ``a`` turns into the prefix scan and then into the windowed
+            # mixture b
+            L = self._chunk
+            a = tab.lp[n0:n0 + m, None, None] - cumz[:m]
+            rows = a.reshape(m, -1)
+            c0 = n0 % L
+            e0 = min(m, L - c0)
+            whole, t = divmod(m - e0, L)
             state = _scan(rows[None, :e0], self._prefix if c0 else None)
             if whole:
                 _scan(rows[e0:m - t].reshape(whole, L, -1))
@@ -595,17 +602,17 @@ class Detector:
                 if t:
                     _logaddexp_into(rows[m - t:], suf[-1, :t])
                 self._suffix = suf[-1]
-        # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n), copied
-        # into a grid-point-major buffer so that the reductions over the
-        # grid run along a leading axis (numpy reduces a short trailing
-        # axis row by row); a ufunc on the transposed view would keep its
-        # strided memory order
-        a += cumz[1:]
-        t1 = np.empty((a.shape[2], m, self.n_streams))
-        np.copyto(t1, a.transpose(2, 0, 1))
-        bound = t1.max(axis=0)
-        t1 += tab.logw.T[:, None]
-        mix = _lse(t1)
+            # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n),
+            # copied into a grid-point-major buffer so that the reductions
+            # over the grid run along a leading axis (numpy reduces a short
+            # trailing axis row by row); a ufunc on the transposed view
+            # would keep its strided memory order
+            a += cumz[1:]
+            t1 = np.empty((a.shape[2], m, self.n_streams))
+            np.copyto(t1, a.transpose(2, 0, 1))
+            bound = t1.max(axis=0)
+            t1 += tab.logw.T[:, None]
+            mix = _lse(t1)
         # the last rows so far are those of the committed time n
         self._mix = np.concatenate((self._mix[-1:], mix))
         self._bound = np.concatenate((self._bound[-1:], bound))
@@ -667,7 +674,8 @@ class Detector:
             np.subtract(top[:, g], rows[..., g], out=d)
             np.maximum(rowmax, d, out=rowmax)
         rowmax += self.tables.lp[s:n, None]
-        return _lse(rowmax)
+        with np.errstate(divide="ignore"):
+            return _lse(rowmax)
 
     @property
     def log_survivor(self) -> float:

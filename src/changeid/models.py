@@ -34,16 +34,17 @@ def whiten(x: Sequence[float], coeffs: Sequence[float]) -> np.ndarray:
 
     Indices before the start of the sequence are treated as zero, which
     makes the effective filter order min(n, p) at the head of the series.
-    The lag products are summed in lag order, c_1 x_{n-1} first, and the
-    sum is subtracted from x_n.
+    The lag products are added into one zero-initialised sum in lag order,
+    c_1 x_{n-1} first, and the sum is subtracted from x_n.
     """
     x = np.asarray(x, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    # lags[..., n, t - 1] = x_{n-t}
-    lags = np.zeros(x.shape + coeffs.shape[-1:])
+    # the leading axes of x and of the coefficients, broadcast
+    lead = np.broadcast(x[..., :1], coeffs[..., :1]).shape[:-1]
+    lagged = np.zeros(lead + x.shape[-1:])
     for t in range(1, coeffs.shape[-1] + 1):
-        lags[..., t:, t - 1] = x[..., :-t]
-    return x - (coeffs[..., None, :] * lags).sum(axis=-1)
+        lagged[..., t:] += coeffs[..., t - 1, None] * x[..., :-t]
+    return x - lagged
 
 
 def _check_square(name: str, value: float) -> None:

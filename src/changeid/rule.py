@@ -25,7 +25,7 @@ __all__ = ["ThresholdMatrix", "Verdict", "CalibrationError",
 # look-ahead blocks of ``run``: the first block's steps, and the entries
 # (steps x streams x grid points) that later blocks may grow to
 _FIRST_BLOCK = 64
-_BLOCK_ENTRIES = 4096
+_BLOCK_ENTRIES = 16384
 
 
 class CalibrationError(ValueError):
@@ -178,7 +178,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     any stream's criterion is met.
 
     The detector looks ahead in blocks that double from 64 steps up to
-    ``max(64, 4096 // (N * G))`` steps for a G-point grid.  Each block is
+    ``max(64, 16384 // (N * G))`` steps for a G-point grid.  Each block is
     screened at once: the whole ratio layout of every looked-ahead step,
     with the cheap lower bounds ``sup_lower_bounds`` in place of the exact
     competitor denominators, is tested against every threshold.  Every

@@ -330,6 +330,20 @@ class TestDetect:
         assert captured.err.startswith(
             "error: log-likelihood ratio overflows at step 1:")
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_ratio_past_limit_exit_2(self, config_path, tmp_path,
+                                            capsys):
+        # every cumz is finite, but |cumz| at the first row is past float
+        # max / 4, and cumz_3 - cumz_1 (about 1.8e308) would overflow
+        data = tmp_path / "huge.csv"
+        data.write_text("t,stream_1,stream_2\n1,-4.5e307,0\n"
+                        "2,4.5e307,0\n3,4.5e307,0\n")
+        assert main(["detect", "--config", config_path(), str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: log-likelihood ratio overflows at step 1:")
+
     def test_nan_cell_exit_2(self, config_path, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("t,stream_1,stream_2\n1,0.5,nan\n")

@@ -396,6 +396,65 @@ class TestLookahead:
             det.lookahead(obs[:, 2:])
         assert det.n == 2
 
+    # stream 1's whitened signal is 2 after its first step, and stream 2
+    # carries none: its whitened signal is 0 at every step
+    BAD_MODELS = [ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.5,),
+                                   signal=ConstantSignal(4.0)),
+                  ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.3,),
+                                   signal=ConstantSignal(0.0))]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stream, value, message", [
+        # 0 * inf: the increments are NaN, not infinite
+        (1, np.inf, "non-finite observation"),
+        (0, np.nan, "non-finite observation"),
+        # theta * u = 4e308 at theta = 2
+        (0, 1e308, "log-likelihood ratio overflows"),
+        # finite cumz past float max / 4, whose differences would overflow
+        (0, -2e307, "log-likelihood ratio overflows"),
+    ], ids=["inf_times_zero_signal", "nan", "infinite_ratio", "past_limit"])
+    def test_one_check_names_the_bad_step(self, rng, stream, value, message):
+        prior = ChangePointPrior.geometric(0.1)
+        mix = MixingMeasure.uniform(0.25, 2.0, 5)
+        good = rng.standard_normal((2, 12))
+        obs = good.copy()
+        obs[stream, 5] = value
+        want = f"{message} at step 6: {obs[:, 5]}"
+        # a one-step block raises at its step
+        single = Detector(prior, self.BAD_MODELS, mix)
+        for t in range(5):
+            single.step(obs[:, t])
+        with pytest.raises(EngineError) as err:
+            single.step(obs[:, 5])
+        assert str(err.value) == want
+        # inside a block the look-ahead stops short of it, and the next
+        # block raises at its first step
+        det = Detector(prior, self.BAD_MODELS, mix)
+        mix_rows, _ = det.lookahead(obs)
+        assert len(mix_rows) == 5
+        for _ in range(5):
+            det.advance()
+        with pytest.raises(EngineError) as err:
+            det.lookahead(obs[:, 5:])
+        assert str(err.value) == want
+        # neither raise leaves a trace: good observations go on as on a
+        # detector that never saw the bad one
+        fresh = Detector(prior, self.BAD_MODELS, mix)
+        fresh.lookahead(good[:, :5])
+        for _ in range(5):
+            fresh.advance()
+        want_rows = fresh.lookahead(good[:, 5:])
+        for _ in range(7):
+            fresh.advance()
+        for d in (single, det):
+            assert d.n == 5
+            for got, ref in zip(d.lookahead(good[:, 5:]), want_rows):
+                assert got.tobytes() == ref.tobytes()
+            for _ in range(7):
+                d.advance()
+            assert d.frame().log_ratio.tobytes() == fresh.frame().log_ratio.tobytes()
+            assert d.screen_slack == fresh.screen_slack
+
 
 class TestScan:
     """The running log-sum-exp of ``lookahead`` carries each column as an

@@ -50,6 +50,20 @@ class TestWhiten:
             assert np.array_equal(whiten(x[s], coeffs[s]), want[s])
         assert np.array_equal(whiten(x, coeffs), want)
 
+    @pytest.mark.parametrize("order", range(1, 8))
+    def test_matches_lag_tensor_sum(self, rng, order):
+        # below 8 terms numpy sums a row in order from 0, as the filter
+        # adds its lag products, so the bits are those of the summed
+        # (..., T, p) tensor of lagged values
+        coeffs = rng.uniform(-0.6, 0.6, (3, order))
+        x = rng.standard_normal((3, 60)) * 10.0 ** rng.uniform(-3, 3, (3, 60))
+        lags = np.zeros(x.shape + (order,))
+        for t in range(1, order + 1):
+            lags[..., t:, t - 1] = x[..., :-t]
+        want = x - (coeffs[:, None, :] * lags).sum(axis=-1)
+        assert whiten(x, coeffs).tobytes() == want.tobytes()
+        assert whiten(x[0], coeffs[0]).tobytes() == want[0].tobytes()
+
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_block_after_history_matches_whole_series(self, rng, order):
         # the engine whitens each block behind the last p observations

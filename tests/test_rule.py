@@ -11,6 +11,7 @@ from changeid import (ARGaussianSignal, CalibrationError, ChangePointPrior,
                       StatisticFrame,
                       ThresholdMatrix, calibrate, calibrate_star, check_stop,
                       run, simulate)
+from changeid import engine, rule
 from changeid.engine import log_ratio_matrix
 from changeid.rule import _met
 from conftest import oracle_verdict
@@ -332,6 +333,65 @@ class TestBlockScreen:
             det = Detector(prior, models, mix, window=5)
             for x in path.observations.T:
                 check_stop(det.step(x), th)
+
+
+def test_largest_blocks_match_single_steps(monkeypatch):
+    """At N = 1, G = 4 the blocks of ``run`` grow to _BLOCK_ENTRIES // 4
+    steps.  On a path three times that long, with outliers that make the
+    scan re-base inside the first block of that size, every looked-ahead
+    row and every frame is the one a ``Detector.step`` loop gives, and the
+    verdict is the screen-free loop's."""
+    models = [ARGaussianSignal(0.25, 4.0)]
+    mix = MixingMeasure.uniform(0.25, 4.0, 4)
+    prior = ChangePointPrior.geometric(1e-3)
+    th = calibrate(1e-4, 1e-4, n_streams=1)
+    cap = rule._BLOCK_ENTRIES // 4
+    horizon = 3 * cap
+    obs = np.random.default_rng(61).standard_normal((1, horizon))
+    # theta * x lowers cumz by about 1 200 at each outlier
+    obs[0, np.arange(cap + 300, 2 * cap, 700)] = -300.0
+    # a change a few hundred steps before the horizon
+    obs[0, horizon - 400:] += 1.0
+
+    blocks = []
+
+    class Recorded(Detector):
+        def lookahead(self, block):
+            rows = super().lookahead(block)
+            blocks.append(rows)
+            return rows
+
+    monkeypatch.setattr(rule, "Detector", Recorded)
+    got = run(models, prior, mix, th, obs)
+    sizes = [len(m) for m, _ in blocks]
+    assert max(sizes) == cap and sizes.count(cap) >= 2
+
+    single = Detector(prior, models, mix, capacity=16)
+    replay = Detector(prior, models, mix, capacity=16)
+    want = None
+    for mix_rows, bound_rows in blocks:
+        replay.lookahead(obs[:, replay.n:replay.n + len(mix_rows)])
+        for r in range(len(mix_rows)):
+            one = single.step(obs[:, single.n])
+            replay.advance()
+            assert mix_rows[r].tobytes() == one.log_mix.tobytes()
+            assert bound_rows[r].tobytes() == single.sup_lower_bounds.tobytes()
+            f = replay.frame()
+            for name in ("log_mix", "log_sup", "log_ratio"):
+                assert getattr(f, name).tobytes() == getattr(one, name).tobytes()
+            assert f.log_survivor == one.log_survivor
+            want = want or check_stop(one, th)
+    assert got.stopped and got.time > horizon - 400
+    assert (got.time, got.stream, got.met_streams) == \
+           (want.time, want.stream, want.met_streams)
+    # each outlier's candidate lies far more than the headroom above the
+    # running value before it, and so above the carried offset: a re-base
+    lo = sum(sizes[:sizes.index(cap)])
+    a = replay.tables.lp[:lo + cap, None, None] - replay._cumz[:lo + cap]
+    running = np.logaddexp.accumulate(a, axis=0)
+    jumps = np.flatnonzero((a[1:] - running[:-1] > engine._HEADROOM)
+                           .any(axis=(1, 2)))
+    assert np.count_nonzero(jumps >= lo) >= 3
 
 
 def test_window_run_memory_does_not_grow_with_the_path():
