@@ -18,13 +18,16 @@ The ``blocks`` table times one ``lookahead`` call of m steps, m in
 ``BLOCK_CALLS`` blocks of m Gaussian observations, committing each before
 the next, and the best of ``REPS`` repetitions is kept.  Its first row is
 the fixed cost of a call, which the rule's block size spreads over the
-block's steps.
+block's steps.  At m = 1 024 the running log-sum-exp re-bases about three
+times a call (54 times over the 16 calls), so that row shows the search
+for the next re-base.
 
 The ``frames`` table times one exact frame, ``Detector.frame()``, at the
-committed times n in {100, 1 000, 10 000}, in full mode and at window 200,
-for N = 2, G = 8 and for N = 8, G = 32: a detector looks ahead and commits
-n Gaussian observations in 64-step blocks, then builds ``FRAME_CALLS``
-frames at n per repetition, and the best of ``REPS`` repetitions is kept.
+committed times n in {100, 1 000, 10 000, 20 000}, in full mode and at
+window 200, for N = 1, G = 8, for N = 2, G = 8 and for N = 8, G = 32: a
+detector looks ahead and commits n Gaussian observations in 64-step
+blocks, then builds ``FRAME_CALLS`` frames at n per repetition, and the
+best of ``REPS`` repetitions is kept.
 
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
@@ -47,8 +50,8 @@ WINDOWS = (None, 1, 7, 50, 200)
 BLOCK = 64
 STEPS = 1280
 REPS = 7
-FRAME_NS = (100, 1_000, 10_000)
-FRAME_SHAPES = ((2, 8), (8, 32))
+FRAME_NS = (100, 1_000, 10_000, 20_000)
+FRAME_SHAPES = ((1, 8), (2, 8), (8, 32))
 FRAME_WINDOWS = (None, 200)
 FRAME_CALLS = 5
 BLOCK_SIZES = (1, 64, 256, 1024)

@@ -176,7 +176,8 @@ def _load_table(raw: bytes, n_streams: int) -> Optional[np.ndarray]:
     # numpy skips blank lines, which the walk rejects, and a quoted line
     # break joins two lines into one row: either leaves fewer rows than
     # lines, so the time index cannot match the line numbers
-    lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    lines = (np.count_nonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+             + (not body.endswith(b"\n")))
     if (not np.array_equal(table["t"], np.arange(1, lines + 1))
             or not np.isfinite(table["x"]).all()):
         return None

@@ -22,12 +22,13 @@ every row.  From b the engine derives, each step:
 
 and on demand the exact sup-over-grid statistic (denominator against
 stream j) and the ratio matrix against the no-change hypothesis and every
-competitor.  Every reduction over the grid runs along a leading axis, where
-numpy reduces whole rows at a time rather than one short row per call: the
-per-grid-point mixtures of a block are copied into a (grid, m, N) buffer,
-whose max is the screen bound and whose log-sum-exp, with the terms summed
-in grid order, is the mixture; an exact frame folds the max over the grid
-into its (n - s, N) rows one grid point at a time.  A max is exact in any
+competitor.  No reduction runs along a short trailing axis, which numpy
+reduces one row per inner loop: the per-grid-point mixtures of a block
+are copied into a (grid, m, N) buffer, whose max over the leading axis is
+the screen bound and whose log-sum-exp, summed in grid order, is the
+mixture; an exact frame transposes its window's rows, a chunk at a time,
+into a (grid, N, rows) scratch and reduces over the candidates along the
+contiguous last axis of an (N, n - s) buffer.  A max is exact in any
 order, so the bound and the exact statistic do not depend on the layout.
 
 Observations enter through one kernel, ``Detector.lookahead``, which
@@ -95,6 +96,15 @@ _SLACK_ULPS = 256
 # the largest |cumz| a look-ahead takes: below it, every difference of two
 # rows and every sum of such a difference with a log-pmf stays finite
 _CUMZ_LIMIT = np.finfo(float).max / 4
+# the most (grid, stream, row) entries an exact frame reduces at once: its
+# scratch is at most 512 KB.  numpy (at its default 8 192-element ufunc
+# buffer) buffers the transposed subtract of a chunk under about 2 730
+# rows, at twice the cost; at N x G <= 16 every chunk of a window wider
+# than 5 460 rows stays above that
+_FRAME_ENTRIES = 1 << 16
+# the rows ``_scan`` first searches for a re-base; each further segment of
+# its search is twice as long as the one before
+_SEARCH_ROWS = 256
 
 
 class EngineError(ValueError):
@@ -129,13 +139,32 @@ def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
     the state becomes (that value, 1).  A re-base depends only on the
     state and the row, and every step is an elementwise numpy ufunc, so
     the values are the same bits however the rows are split into calls.
+
+    The next re-base row is searched for in segments of _SEARCH_ROWS rows
+    that double, so finding one r rows on compares at most
+    2r + _SEARCH_ROWS rows, not every remaining row.  Where every chunk
+    re-bases, as always in full mode, only the re-based values are
+    computed.
     Callers hold np.errstate with divide, over and invalid ignored.
     """
     off, s = state if state is not None else (np.maximum(x[:, 0], _EMPTY), None)
     while x.shape[1]:
         o = off[:, None]
-        hits = x > o + _HEADROOM
-        h = int(hits.any(axis=(0, 2)).argmax()) if hits.any() else x.shape[1]
+        limit = o + _HEADROOM
+        # a segment's first True in chunk-major order says whether it
+        # holds a hit; over several chunks the row is their union's first
+        h, lo, size = x.shape[1], 0, _SEARCH_ROWS
+        while lo < x.shape[1]:
+            hits = x[:, lo:lo + size] > limit
+            i = int(hits.argmax())
+            if hits.flat[i]:
+                if len(hits) > 1:
+                    i = int(hits.any(axis=0).argmax())
+                h = lo + i // x.shape[2]
+                hit = hits[:, h - lo].any(axis=1, keepdims=True)
+                break
+            lo += size
+            size *= 2
         if h:
             run = x[:, :h]
             run -= o
@@ -149,14 +178,18 @@ def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
         if h == x.shape[1]:
             break
         # row h re-bases the chunks that hit; the others take a plain step
-        hit = hits[:, h].any(axis=1, keepdims=True)
         row = x[:, h]
-        plain = s + np.exp(row - off)
-        rebased = np.logaddexp(off + np.log(s), row)
-        row[...] = np.where(hit, rebased, off + np.log(plain))
-        new_off = np.maximum(row, _EMPTY)
-        s = np.where(hit, np.exp(row - new_off), plain)
-        off = np.where(hit, new_off, off)
+        if hit.all():
+            row[...] = np.logaddexp(off + np.log(s), row)
+            off = np.maximum(row, _EMPTY)
+            s = np.exp(row - off)
+        else:
+            plain = s + np.exp(row - off)
+            rebased = np.logaddexp(off + np.log(s), row)
+            row[...] = np.where(hit, rebased, off + np.log(plain))
+            new_off = np.maximum(row, _EMPTY)
+            s = np.where(hit, np.exp(row - new_off), plain)
+            off = np.where(hit, new_off, off)
         x = x[:, h + 1:]
     return off, s
 
@@ -324,8 +357,9 @@ class StreamTables:
         xt = whiten(hist, self.ar)[:, order:].T
         m = len(xt)
         u = self.sw[n0:n0 + m] * xt / self.s2
-        return (u[:, :, None] * self.grid
-                - self.half_v[n0:n0 + m, :, None] * self.grid_sq)
+        out = u[:, :, None] * self.grid
+        out -= self.half_v[n0:n0 + m, :, None] * self.grid_sq
+        return out
 
 
 @dataclass(frozen=True)
@@ -662,20 +696,46 @@ class Detector:
 
     @property
     def log_sup_values(self) -> np.ndarray:
-        """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,)."""
+        """Exact log of sum_k pi_k max_g LR_{j,theta_g}(k, n), shape (N,).
+
+        The window's n - s rows are walked in the fewest chunks of at most
+        _FRAME_ENTRIES entries: one transposed subtract from the row of
+        time n into a contiguous (G, N, c) scratch, whose max over the
+        leading grid axis lands in an (N, n - s) buffer.  The log-sum-exp
+        over the candidates runs along that buffer's contiguous last axis,
+        its terms summed in the order numpy summed the (n - s, N) rows:
+        in row order, by a cumulative sum, for N >= 2, and pairwise for
+        one stream."""
         s, n, b = self._window_start, self.n, self._base
-        top = self._cumz[n - b]
+        width = n - s
+        # (G, N, 1): the row of time n, grid point major
+        top = self._cumz[n - b].T[:, :, None]
         rows = self._cumz[s - b:n - b]
-        # the max over the grid, folded in one grid point at a time: no
-        # (n - s, N, G) temporary, and no reduction along the short last axis
-        rowmax = top[:, 0] - rows[..., 0]
-        d = np.empty_like(rowmax)
-        for g in range(1, top.shape[1]):
-            np.subtract(top[:, g], rows[..., g], out=d)
-            np.maximum(rowmax, d, out=rowmax)
-        rowmax += self.tables.lp[s:n, None]
+        grid, streams = top.shape[:2]
+        chunks = -(-width * grid * streams // _FRAME_ENTRIES)
+        step = -(-width // chunks)
+        scratch = np.empty(grid * streams * step)
+        rowmax = np.empty((streams, width))
+        for lo in range(0, width, step):
+            hi = min(lo + step, width)
+            d = scratch[:grid * streams * (hi - lo)].reshape(grid, streams, -1)
+            np.subtract(top, rows[lo:hi].transpose(2, 1, 0), out=d)
+            d.max(axis=0, out=rowmax[:, lo:hi])
+        rowmax += self.tables.lp[s:n]
+        m = rowmax.max(axis=1)
+        # an all -inf row subtracts a finite offset, not -inf - -inf
+        np.maximum(m, _EMPTY, out=m)
+        rowmax -= m[:, None]
+        np.exp(rowmax, out=rowmax)
+        if streams == 1:
+            total = rowmax.sum(axis=1)
+        else:
+            np.add.accumulate(rowmax, axis=1, out=rowmax)
+            total = rowmax[:, -1]
         with np.errstate(divide="ignore"):
-            return _lse(rowmax)
+            out = np.log(total)
+        out += m
+        return out
 
     @property
     def log_survivor(self) -> float:

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -573,6 +574,66 @@ class TestScan:
             np.testing.assert_allclose(frame.log_sup, o_sup, rtol=1e-12, atol=1e-9)
         assert (empty > 0) == (case == "holes")
 
+    # outliers of -3 000 at these observations lower cumz by 750 to 1 500
+    # on the narrow grid, whose drift alone never re-bases over LONG steps
+    LONG = 2200
+    NARROW = MixingMeasure.uniform(0.25, 0.5, 4)
+    OUTLIERS = {None: (400, 1500), 7: (145, 282, 1500), 50: (130, 260, 1500)}
+
+    def _long_path(self, window):
+        obs = np.random.default_rng(25).standard_normal((2, self.LONG))
+        for i, t in enumerate(self.OUTLIERS[window]):
+            obs[i % 2, t] = -3000.0
+        return obs
+
+    @staticmethod
+    def _jumps(a):
+        """Rows of the candidate entries a, (..., r, N, G), with an entry
+        more than the headroom above the running value before it: each is
+        above its offset too, so a re-base."""
+        running = np.logaddexp.accumulate(a, axis=-3)
+        return (a[..., 1:, :, :] - running[..., :-1, :, :]
+                > engine._HEADROOM).any(axis=(-2, -1))
+
+    @pytest.mark.parametrize("window", [None, 7, 50])
+    def test_long_runs_match_single_steps(self, window):
+        """One look-ahead of the whole path: in full mode a run that
+        re-bases in its second search segment, then one that re-bases in
+        its third; in window mode whole chunks where only some re-base,
+        the first re-base row lying in a later chunk than the first chunk
+        that re-bases.  Every row is the one single steps give."""
+        prior = ChangePointPrior.geometric(0.05)
+        obs = self._long_path(window)
+        block = Detector(prior, self.IID, self.NARROW, window=window,
+                         capacity=self.LONG)
+        single = Detector(prior, self.IID, self.NARROW, window=window,
+                          capacity=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix_rows, bound_rows = block.lookahead(obs)
+            for t in range(self.LONG):
+                one = single.step(obs[:, t])
+                block.advance()
+                assert mix_rows[t].tobytes() == one.log_mix.tobytes()
+                assert bound_rows[t].tobytes() == \
+                       single.sup_lower_bounds.tobytes()
+                if t % 11 == 0:
+                    assert block.frame().log_ratio.tobytes() == \
+                           one.log_ratio.tobytes()
+        a = block.tables.lp[:self.LONG, None, None] - block._cumz[:self.LONG]
+        seg = engine._SEARCH_ROWS
+        if window is None:
+            first, second = np.flatnonzero(self._jumps(a)) + 1
+            assert seg <= first < 3 * seg
+            assert 3 * seg <= second - (first + 1) < 7 * seg
+            assert self.LONG - (second + 1) > 2 * seg
+        else:
+            whole = self.LONG // window
+            chunks, rows = np.nonzero(self._jumps(
+                a[:whole * window].reshape(whole, window, 2, -1)))
+            assert 0 < len(set(chunks)) < whole
+            assert rows[0] > rows.min()
+
     def test_accuracy_against_longdouble(self):
         """On a long full-mode path the scan is closer to an 80-bit
         running log-sum-exp than the ``np.logaddexp`` chain it replaced."""
@@ -871,3 +932,83 @@ class TestGridReductions:
                     want = _lse_along(blocks.tables.lp[s:n, None] + rowmax,
                                       axis=0)
                     assert frame.log_sup.tobytes() == want.tobytes()
+
+
+class TestExactFrame:
+    """``log_sup_values`` walks the window's rows in chunks of at most
+    ``_FRAME_ENTRIES`` entries.  Its max over the grid is exact in any
+    order, and its sum over the candidates keeps the order numpy gave the
+    (n - s, N) rows: row order for N >= 2, pairwise for one stream."""
+
+    T = 400
+
+    @staticmethod
+    def _reference(det):
+        s, n, b = det._window_start, det.n, det._base
+        cz = det._cumz
+        a = det.tables.lp[s:n, None] + (cz[n - b] - cz[s - b:n - b]).max(axis=2)
+        m = np.maximum(a.max(axis=0), -np.finfo(float).max)
+        e = np.exp(a - m)
+        total = (e.sum(axis=0) if det.n_streams == 1
+                 else np.add.accumulate(e, axis=0)[-1])
+        with np.errstate(divide="ignore"):
+            return np.log(total) + m
+
+    @staticmethod
+    def _prior(case):
+        if case == "geometric":
+            return ChangePointPrior.geometric(0.05, q=0.1)
+        # no mass before k = 20, between 60 and 200, and after 300: whole
+        # chunks of -inf rows
+        probs = np.ones(300)
+        probs[:20] = 0.0
+        probs[60:200] = 0.0
+        return ChangePointPrior("explicit_pmf", probs=probs)
+
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 8])
+    @pytest.mark.parametrize("window", [None, 150])
+    @pytest.mark.parametrize("case", ["geometric", "holes"])
+    def test_chunks_match_row_order_reference(self, monkeypatch, n_streams,
+                                              window, case):
+        mix = MixingMeasure.uniform(0.25, 2.0, 6, spacing="log")
+        # 40-row chunks: the full window spans ten, window 150 four
+        monkeypatch.setattr(engine, "_FRAME_ENTRIES", 40 * n_streams * 6)
+        models = [ARGaussianSignal(0.25, 2.0)] * n_streams
+        obs = np.random.default_rng(n_streams).standard_normal(
+            (n_streams, self.T)) + 0.3
+        det = Detector(self._prior(case), models, mix, window=window,
+                       capacity=self.T)
+        det.lookahead(obs)
+        empty = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(1, self.T + 1):
+                det.advance()
+                if n % 7 and n not in (119, 120, 121, 200, self.T):
+                    continue
+                sup = det.log_sup_values
+                assert not np.isnan(sup).any()
+                empty += np.isneginf(sup).sum()
+                assert sup.tobytes() == self._reference(det).tobytes()
+        assert det.n - det._window_start > 2 * 40
+        assert (empty > 0) == (case == "holes")
+
+    def test_real_chunks_match_reference_without_a_grid_sized_buffer(self):
+        prior, models, mix = make_setup(grid_pts=8)
+        n = 12_300
+        obs = np.random.default_rng(5).standard_normal((2, n))
+        det = Detector(prior, models, mix, capacity=n)
+        det.lookahead(obs)
+        for _ in range(n):
+            det.advance()
+        assert n * 2 * 8 > 3 * engine._FRAME_ENTRIES
+        tracemalloc.start()
+        try:
+            sup = det.log_sup_values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup.tobytes() == self._reference(det).tobytes()
+        # the (N, n) buffer and one chunk's scratch, not n x N x G entries
+        assert peak <= 8 * (2 * n + engine._FRAME_ENTRIES) + 4096
+        assert peak < 8 * n * 2 * 8 / 2

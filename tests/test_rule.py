@@ -336,18 +336,26 @@ class TestBlockScreen:
 
 
 def test_largest_blocks_match_single_steps(monkeypatch):
-    """At N = 1, G = 4 the blocks of ``run`` grow to _BLOCK_ENTRIES // 4
+    _largest_blocks_match_single_steps(monkeypatch, 1)
+
+
+def test_largest_blocks_match_single_steps_two_streams(monkeypatch):
+    _largest_blocks_match_single_steps(monkeypatch, 2)
+
+
+def _largest_blocks_match_single_steps(monkeypatch, n_streams):
+    """At G = 4 the blocks of ``run`` grow to _BLOCK_ENTRIES // (4 N)
     steps.  On a path three times that long, with outliers that make the
     scan re-base inside the first block of that size, every looked-ahead
     row and every frame is the one a ``Detector.step`` loop gives, and the
     verdict is the screen-free loop's."""
-    models = [ARGaussianSignal(0.25, 4.0)]
+    models = [ARGaussianSignal(0.25, 4.0)] * n_streams
     mix = MixingMeasure.uniform(0.25, 4.0, 4)
     prior = ChangePointPrior.geometric(1e-3)
-    th = calibrate(1e-4, 1e-4, n_streams=1)
-    cap = rule._BLOCK_ENTRIES // 4
+    th = calibrate(1e-4, 1e-4, n_streams=n_streams)
+    cap = rule._BLOCK_ENTRIES // (4 * n_streams)
     horizon = 3 * cap
-    obs = np.random.default_rng(61).standard_normal((1, horizon))
+    obs = np.random.default_rng(61).standard_normal((n_streams, horizon))
     # theta * x lowers cumz by about 1 200 at each outlier
     obs[0, np.arange(cap + 300, 2 * cap, 700)] = -300.0
     # a change a few hundred steps before the horizon
