@@ -13,14 +13,18 @@ next.  Only the ``lookahead`` calls are timed, and the best of ``REPS``
 repetitions is kept.  Short windows split a block into many chunks, so
 they show the per-chunk cost of the windowed scan.
 
-The ``blocks`` table times one ``lookahead`` call of m steps, m in
-{1, 64, 256, 1 024}, for N = 2, G = 8 in full mode: a detector looks ahead
-``BLOCK_CALLS`` blocks of m Gaussian observations, committing each before
-the next, and the best of ``REPS`` repetitions is kept.  Its first row is
-the fixed cost of a call, which the rule's block size spreads over the
-block's steps.  At m = 1 024 the running log-sum-exp re-bases about three
-times a call (54 times over the 16 calls), so that row shows the search
-for the next re-base.
+The ``blocks`` table times one ``lookahead`` call of m steps: a detector
+looks ahead ``BLOCK_CALLS`` blocks of m Gaussian observations, committing
+each before the next, and the best of ``REPS`` repetitions is kept.  Its
+cases (``BLOCK_CASES``) are N = 2, G = 8 in full mode at m in {1, 64,
+256, 1 024}; N = 8, G = 32 at window 200 at m in {64, 128, 256}, the
+blocks ``wide-window``'s rule takes under a 16 384- and a 32 768-entry
+budget and one more; and N = 3, G = 5 in full mode at m = 1 024, whose
+odd N x G the detector's tables pad to N x 6.  The first row is the fixed
+cost of a call, which the rule's block size spreads over the block's
+steps.  At N = 2, G = 8, m = 1 024 the running log-sum-exp re-bases about
+three times a call (54 times over the 16 calls), so that row shows the
+search for the next re-base.
 
 The ``frames`` table times one exact frame, ``Detector.frame()``, at the
 committed times n in {100, 1 000, 10 000, 20 000}, in full mode and at
@@ -54,7 +58,9 @@ FRAME_NS = (100, 1_000, 10_000, 20_000)
 FRAME_SHAPES = ((1, 8), (2, 8), (8, 32))
 FRAME_WINDOWS = (None, 200)
 FRAME_CALLS = 5
-BLOCK_SIZES = (1, 64, 256, 1024)
+# (streams, grid points, window, block sizes) of the ``blocks`` table
+BLOCK_CASES = ((2, 8, None, (1, 64, 256, 1024)), (8, 32, 200, (64, 128, 256)),
+               (3, 5, None, (1024,)))
 BLOCK_CALLS = 16
 
 
@@ -121,16 +127,17 @@ def sweep(src: str) -> dict:
                                "n": steps,
                                "us_per_frame": round(1e6 * spent, 3)})
     blocks = []
-    models = [ARGaussianSignal(0.25, 2.0) for _ in range(2)]
-    mixing = engine.MixingMeasure.uniform(0.25, 2.0, 8, spacing="log")
-    obs = rng.standard_normal((2, BLOCK_CALLS * max(BLOCK_SIZES)))
-    for size in BLOCK_SIZES:
-        path = obs[:, :BLOCK_CALLS * size]
-        best = min(time_path(engine, prior, models, mixing, None, path, size)
-                   for _ in range(REPS))
-        blocks.append({"streams": 2, "grid": 8, "window": None,
-                       "block": size,
-                       "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
+    for n, g, window, sizes in BLOCK_CASES:
+        models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
+        mixing = engine.MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
+        obs = rng.standard_normal((n, BLOCK_CALLS * max(sizes)))
+        for size in sizes:
+            path = obs[:, :BLOCK_CALLS * size]
+            best = min(time_path(engine, prior, models, mixing, window, path,
+                                 size) for _ in range(REPS))
+            blocks.append({"streams": n, "grid": g, "window": window,
+                           "block": size,
+                           "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
     return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows,
             "block_calls": BLOCK_CALLS, "blocks": blocks,
             "frame_calls": FRAME_CALLS, "frames": frames}

@@ -55,6 +55,14 @@ reads only the carried state and the row, and numpy's exp and log give
 the same bits on any operand layout, so the statistics are the same bits
 whatever the blocks.
 
+Every cumulative sum along the steps, cumz's and each scan's, runs on a
+complex128 view of the float64 rows (``_accumulate``): numpy's
+accumulate makes one loop trip per element, and a complex add is the two
+float adds of a column pair, so half the trips give the same bits.  The
+detector's tables pad a grid whose N x grid is odd with one more
+zero-weight copy of its last point, so that every row is whole pairs; the
+copy adds +0.0 to the mixture and repeats a value in every max.
+
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
 and v/2) are built once, for at least the capacity asked for, and shared,
@@ -125,6 +133,16 @@ def _lse(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _accumulate(a: np.ndarray) -> None:
+    """Cumulative sum of a along axis -2, in place, on a complex128 view of
+    its float64 rows, whose last axis is contiguous and of even length.
+    ``np.add.accumulate`` makes one loop trip per element; a complex add is
+    the float adds of a column pair, in the same order, so half the trips
+    give the same bits, infinities and NaNs included."""
+    z = a.view(complex)
+    np.add.accumulate(z, axis=-2, out=z)
+
+
 def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
     """Running log-sum-exp along axis 1 of x, (k, r, C), in place, over k
     chunks at once; returns the state after the last row.
@@ -133,8 +151,9 @@ def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
     off + log(s).  Without one, each chunk starts afresh at its first row
     with off = that row (_EMPTY where it is -inf) and no sum.  Between
     re-bases a run of rows is one exp, one cumulative sum along the rows
-    seeded with s, and one log, each over the whole run.  A row where
-    some entry of a chunk lies more than _HEADROOM above its offset
+    seeded with s, and one log, each over the whole run; the sum runs on
+    a complex128 view of the rows (``_accumulate``), so C is even.  A row
+    where some entry of a chunk lies more than _HEADROOM above its offset
     re-bases that chunk: its value is logaddexp(off + log(s), row), and
     the state becomes (that value, 1).  A re-base depends only on the
     state and the row, and every step is an elementwise numpy ufunc, so
@@ -171,7 +190,7 @@ def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
             np.exp(run, out=run)
             if s is not None:
                 run[:, 0] += s
-            np.add.accumulate(run, axis=1, out=run)
+            _accumulate(run)
             s = run[:, -1].copy()
             np.log(run, out=run)
             run += o
@@ -325,8 +344,9 @@ class StreamTables:
     steps, every array read-only; they need no prior.
 
     The N grids are padded to a common width G with zero-weight copies of
-    their last point, which change neither the mixture nor the sup; the AR
-    filters are zero-padded to the longest one.  ``sw`` holds the whitened
+    their last point, which change neither the mixture nor the sup, and
+    the detector's tables get one more where N x G is odd; the AR filters
+    are zero-padded to the longest one.  ``sw`` holds the whitened
     signal values and ``half_v`` is sw^2 / (2 sigma^2), each (cap, N).
     """
 
@@ -347,17 +367,19 @@ class StreamTables:
     def cap(self) -> int:
         return self.sw.shape[0]
 
-    def increments(self, n0: int, hist: np.ndarray) -> np.ndarray:
+    def increments(self, n0: int, hist: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """The LLR increments theta*u - theta^2*v/2, u = sw*x~/sigma^2, of
-        steps n0+1 .. n0+m at every grid point, shape (m, N, G).  ``hist``
-        (N, order + m) holds the ``order`` observations before step n0+1,
-        oldest first (zero before the first), then the m steps'."""
+        steps n0+1 .. n0+m at every grid point, shape (m, N, G), written
+        into ``out`` when it is given.  ``hist`` (N, order + m) holds the
+        ``order`` observations before step n0+1, oldest first (zero before
+        the first), then the m steps'."""
         order = self.ar.shape[1]
         # the first ``order`` whitened values only re-read the history
         xt = whiten(hist, self.ar)[:, order:].T
         m = len(xt)
         u = self.sw[n0:n0 + m] * xt / self.s2
-        out = u[:, :, None] * self.grid
+        out = np.multiply(u[:, :, None], self.grid, out=out)
         out -= self.half_v[n0:n0 + m, :, None] * self.grid_sq
         return out
 
@@ -377,10 +399,16 @@ class ConfigTables(StreamTables):
 
 
 def stream_tables(models: Sequence[ARGaussianSignal],
-                  mixing: Sequence[MixingMeasure], cap: int) -> StreamTables:
-    """The tables of ``models``, one mixing measure each, for cap steps."""
+                  mixing: Sequence[MixingMeasure], cap: int,
+                  even: bool = False) -> StreamTables:
+    """The tables of ``models``, one mixing measure each, for cap steps.
+    With ``even``, a grid whose N x G is odd gets one more zero-weight copy
+    of its last point, so that a row of increments is whole column pairs
+    (``_accumulate``); a sum over the grid must not be given one."""
     n_streams = len(models)
     width = max(m.grid.size for m in mixing)
+    if even:
+        width += n_streams * width % 2
     grid = np.empty((n_streams, width))
     logw = np.full((n_streams, width), -np.inf)
     for s, m in enumerate(mixing):
@@ -424,8 +452,8 @@ def _shared_tables(prior: ChangePointPrior, models: Sequence[ARGaussianSignal],
             or not _same(tables.mixing, mixing)):
         lp = prior.log_pmf_head_merged(cap)
         tables = ConfigTables(
-            **vars(stream_tables(models, mixing, cap)), models=tuple(models),
-            mixing=tuple(mixing), lp=lp,
+            **vars(stream_tables(models, mixing, cap, even=True)),
+            models=tuple(models), mixing=tuple(mixing), lp=lp,
             lp_scale=np.maximum.accumulate(np.where(lp > -np.inf, -lp, 0.0)),
             log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
         _SHARED[prior] = tables
@@ -582,8 +610,8 @@ class Detector:
         hist = np.concatenate((self._history, block), axis=1)
         cumz = self._cumz[n0 - b:n0 + m + 1 - b]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cumz[1:] = tab.increments(n0, hist)
-            np.add.accumulate(cumz, axis=0, out=cumz)
+            tab.increments(n0, hist, out=cumz[1:])
+            _accumulate(cumz.reshape(m + 1, -1))
             # a NaN anywhere makes both NaN, and NaN < limit is false
             hi = max(cumz.max(), -cumz.min())
             if not hi < _CUMZ_LIMIT:

@@ -1012,3 +1012,88 @@ class TestExactFrame:
         # the (N, n) buffer and one chunk's scratch, not n x N x G entries
         assert peak <= 8 * (2 * n + engine._FRAME_ENTRIES) + 4096
         assert peak < 8 * n * 2 * 8 / 2
+
+
+class TestComplexViewSums:
+    """The cumulative sums of ``lookahead`` and ``_scan`` run on a
+    complex128 view of their float64 rows, so the detector's tables pad a
+    grid whose N x G is odd with a zero-weight copy of its last point."""
+
+    # (N, G): N x G even, G odd with N x G even, N x G odd (padded)
+    SHAPES = [(2, 4), (2, 5), (1, 7), (3, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_detector_tables_pad_an_odd_width(self, shape):
+        n_streams, g = shape
+        models = [ARGaussianSignal(0.25, 2.0)] * n_streams
+        mix = MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
+        det = Detector(ChangePointPrior.geometric(0.05), models, mix)
+        tab = det.tables
+        width = g + n_streams * g % 2
+        assert tab.grid.shape == tab.logw.shape == (n_streams, width)
+        assert det._cumz.shape[1:] == (n_streams, width)
+        assert np.array_equal(tab.grid[:, :g], np.tile(mix.grid, (n_streams, 1)))
+        assert (tab.grid[:, g:] == mix.grid[-1]).all()
+        assert np.isneginf(tab.logw[:, g:]).all()
+        # a sum over the grid is not given the copy
+        plain = engine.stream_tables(models, [mix] * n_streams, 16)
+        assert plain.grid.shape == (n_streams, g)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_accumulate_is_float_accumulate(self, shape):
+        """Bit for bit ``np.add.accumulate`` along the rows, with +-inf,
+        NaN and _EMPTY entries and columns, on whole arrays, on slices of
+        the leading axes and on rows in reverse."""
+        n_streams, g = shape
+        width = n_streams * (g + n_streams * g % 2)
+        rng = np.random.default_rng(width)
+        base = rng.standard_normal((3, 50, width)) * 100.0
+        special = rng.random(base.shape)
+        base[special < 0.03] = np.inf
+        base[special > 0.97] = -np.inf
+        base[(special > 0.5) & (special < 0.52)] = np.nan
+        base[:, :, 0] = engine._EMPTY
+        base[:, 10, -1] = np.nan
+        base[1, :, width // 2] = -np.inf
+        for view in (lambda a: a, lambda a: a[1:, 7:41], lambda a: a[:, ::-1],
+                     lambda a: a[::2, 5:-3][:, ::-3]):
+            got = base.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                engine._accumulate(view(got))
+                want = np.add.accumulate(view(base), axis=1)
+            assert view(got).tobytes() == want.tobytes()
+            # the entries outside the view are untouched
+            mask = np.ones(base.shape, bool)
+            view(mask)[...] = False
+            assert got[mask].tobytes() == base[mask].tobytes()
+
+    @pytest.mark.parametrize("window", [None, 7, 50])
+    def test_padded_frames_match_oracle(self, rng, window):
+        """N = 3 streams on a 5-point grid: every frame of one look-ahead
+        matches the brute-force oracle on the unpadded grid, and single
+        steps give the same bits."""
+        prior = ChangePointPrior.geometric(0.05, q=0.1)
+        models = [ARGaussianSignal(0.25, 2.0)] * 3
+        mix = MixingMeasure.uniform(0.25, 2.0, 5, spacing="log")
+        obs = rng.standard_normal((3, 120)) + 0.3
+        block = Detector(prior, models, mix, window=window, capacity=120)
+        single = Detector(prior, models, mix, window=window, capacity=16)
+        assert block.tables.grid.shape == (3, 6)
+        grids, weights = [mix.grid] * 3, [mix.weights] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mix_rows, bound_rows = block.lookahead(obs)
+            for n in range(1, 121):
+                one = single.step(obs[:, n - 1])
+                block.advance()
+                frame = block.frame()
+                assert mix_rows[n - 1].tobytes() == one.log_mix.tobytes()
+                assert bound_rows[n - 1].tobytes() == \
+                       single.sup_lower_bounds.tobytes()
+                assert frame.log_ratio.tobytes() == one.log_ratio.tobytes()
+                if n % 6:
+                    continue
+                o_mix, o_sup, _, _ = oracle_frame(obs, prior, grids, weights,
+                                                  n, window=window)
+                np.testing.assert_allclose(frame.log_mix, o_mix, rtol=1e-12)
+                np.testing.assert_allclose(frame.log_sup, o_sup, rtol=1e-12)

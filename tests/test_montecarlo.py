@@ -11,6 +11,9 @@ from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       estimate_delay, estimate_pfa, estimate_pmi,
                       SineSignal, run_change_batch, run_null_batch,
                       validate_conditions)
+from changeid.engine import stream_tables
+from changeid.montecarlo import _batch_id
+from conftest import oracle_llr_increments
 
 
 def outcome(idx, stopped=True, time=1, stream=1, nu=-1, true_stream=0,
@@ -238,6 +241,29 @@ class TestValidateConditions:
         assert row["relative_deviation"] <= 0.05
         assert row["pre_change_negative"]
         assert row["ok"]
+
+
+    def test_one_point_grid_is_not_padded(self):
+        """The tables it sums are the model's own one-point grid, with no
+        zero-weight copy that would double the sum: its rates are the
+        brute-force increments' on the same draws."""
+        model = ARGaussianSignal(0.25, 2.0, ar_coeffs=(0.4,),
+                                 signal=SineSignal(0.7))
+        theta, n, paths = 1.0, 300, 5
+        assert stream_tables([model], [MixingMeasure([theta], [1.0])],
+                             n).grid.shape == (1, 1)
+        row, = validate_conditions([model], [theta], master_seed=3,
+                                   n_paths=paths, n_values=(n,))
+        post, pre = [], []
+        sig = theta * model.signal_values(n)
+        for p in range(paths):
+            rng = np.random.default_rng(
+                (3, _batch_id(f"slln:s1:theta={theta!r}:n={n}"), p))
+            x = model.sample_noise(n, rng)
+            pre.append(oracle_llr_increments(model, x, [theta]).sum() / n)
+            post.append(oracle_llr_increments(model, x + sig, [theta]).sum() / n)
+        assert row["mean_rate"] == pytest.approx(np.mean(post), rel=1e-12)
+        assert row["pre_change_rate"] == pytest.approx(np.mean(pre), rel=1e-12)
 
 
 class TestRiskReport:
