@@ -69,6 +69,9 @@ _SIGNAL_KEYS = {"constant": {"amplitude"},
                 "sine": {"omega", "phase", "amplitude"}}
 _GRID_KEYS = {"min", "max", "count", "single_point", "spacing", "weights"}
 _MIXING_KEYS = {"uniform": _GRID_KEYS, "gaussian": _GRID_KEYS | {"v"}}
+# the most mixing grid points: every look-ahead step holds N x count
+# entries, and a count past int64 is an index numpy cannot build a grid of
+_MAX_GRID = 1 << 16
 
 
 def _check_keys(section: dict, allowed, what: str) -> None:
@@ -280,6 +283,9 @@ def build_mixing(section: dict) -> MixingMeasure:
         if count < 2 and not single_point:
             raise ConfigError(
                 "grid count must be >= 2 (set single_point: true to override)")
+        if count > _MAX_GRID:
+            raise ConfigError(f"mixing.count must be at most {_MAX_GRID}, "
+                              f"got {count}")
         spacing = section.get("spacing", "linear")
         lo = _number(section["min"], "min")
         hi = _number(section["max"], "max")

@@ -18,6 +18,12 @@ import numpy as np
 __all__ = ["ChangePointPrior", "PriorError"]
 
 
+# the largest change point a draw returns, int64's largest value; a draw
+# at or above _NU_LIMIT, the first float past it, returns _NU_MAX
+_NU_MAX = int(np.iinfo(np.int64).max)
+_NU_LIMIT = 2.0 ** 63
+
+
 class PriorError(ValueError):
     """Invalid prior parameters or out-of-domain query."""
 
@@ -161,17 +167,19 @@ class ChangePointPrior:
         u, v = rng.random(1), rng.random(1)
         if u[0] < self.q:
             return -1
-        if self.kind == self.GEOMETRIC:
-            # max{k : (1-rho)^k > v}
-            body = np.floor(np.log(v) / math.log1p(-self.rho)).astype(np.int64)
-        elif self.kind == self.DISCRETE_WEIBULL:
+        if self.kind == self.EXPLICIT:
+            return int(min(np.searchsorted(self._cdf, v, side="right")[0],
+                           self._probs.size - 1))
+        # a draw past int64's range overflows to inf at a tiny rho or a
+        # huge scale; it lies past every horizon, and _NU_MAX stands for it
+        with np.errstate(divide="ignore", over="ignore"):
+            if self.kind == self.GEOMETRIC:
+                # max{k : (1-rho)^k > v}
+                body = float(np.floor(np.log(v) / math.log1p(-self.rho))[0])
+                return int(body) if body < _NU_LIMIT else _NU_MAX
             # max{k : exp(-(k/scale)^kappa) > v}
-            body = np.ceil(self.scale * (-np.log(v)) ** (1.0 / self.kappa)).astype(np.int64) - 1
-            body = np.maximum(body, 0)
-        else:
-            body = np.minimum(np.searchsorted(self._cdf, v, side="right"),
-                              self._probs.size - 1)
-        return int(body[0])
+            body = float(np.ceil(self.scale * (-np.log(v)) ** (1.0 / self.kappa))[0])
+        return max(int(body) - 1, 0) if body < _NU_LIMIT else _NU_MAX
 
     # -- tail diagnostics ------------------------------------------------
 

@@ -202,6 +202,15 @@ class TestCalibrate:
         pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": True,
                                  "single_point": True}},
                      None, id="count_bool"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0,
+                                 "count": 2 ** 63, "spacing": "log"}},
+                     "error: invalid mixing grid: mixing.count must be at "
+                     "most 65536, got 9223372036854775808\n",
+                     id="count_past_int64"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0,
+                                 "count": 65537, "spacing": "log"}},
+                     "error: invalid mixing grid: mixing.count must be at "
+                     "most 65536, got 65537\n", id="count_past_max"),
         pytest.param({"models": [{"kind": "gaussian", "theta_min": 0.25,
                                   "theta_max": 2.0, "sigma": True}] * 2},
                      None, id="sigma_bool"),
@@ -261,6 +270,22 @@ class TestCalibrate:
         assert err.startswith("error: ")
         if message is not None:
             assert err == message
+
+
+    @pytest.mark.parametrize("command", ["calibrate", "detect", "simulate",
+                                         "validate"])
+    def test_grid_count_past_int64_exits_2(self, config_path, tmp_path,
+                                           capsys, command):
+        """A count of 2^63 ended in an IndexError from np.linspace in every
+        command; it is rejected with the key's name."""
+        path = config_path({"mixing": {"min": 0.25, "max": 2.0,
+                                       "count": 2 ** 63, "spacing": "log"}})
+        argv = [command, "--config", path]
+        if command == "detect":
+            write_data_csv(tmp_path / "data.csv", np.zeros((2, 40)))
+            argv.append(str(tmp_path / "data.csv"))
+        assert main(argv) == 2
+        assert "mixing.count" in capsys.readouterr().err
 
 
 class TestDetect:

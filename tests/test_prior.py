@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from changeid import ChangePointPrior, PriorError
+from changeid import ARGaussianSignal, ChangePointPrior, PriorError, simulate
 
 
 class TestGeometric:
@@ -128,6 +129,31 @@ def test_sample_draws_are_pinned(prior, draws):
     # same change points whatever the prior's head mass did to earlier ones
     rng = np.random.default_rng(2024)
     assert [prior.sample(rng) for _ in range(12)] == draws
+
+
+@pytest.mark.parametrize("prior", [
+    ChangePointPrior.geometric(1e-20), ChangePointPrior.geometric(1e-308),
+    ChangePointPrior.geometric(5e-324),
+    ChangePointPrior.discrete_weibull(0.5, 1e300)],
+    ids=["rho=1e-20", "rho=1e-308", "rho=5e-324", "weibull_scale=1e300"])
+def test_draws_past_int64_are_its_largest_value(prior):
+    """A draw of 2^63 or more, which a cast to int64 turned into -2^63
+    with a warning, is int64's largest value: a change past any horizon,
+    so a simulated path gains no signal."""
+    nu_max = int(np.iinfo(np.int64).max)
+    models = [ARGaussianSignal(0.25, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [prior.sample(np.random.default_rng(s)) for s in range(1, 9)]
+        paths = [simulate(models, 50, np.random.default_rng(s), stream=1,
+                          theta=2.0, prior=prior) for s in range(1, 9)]
+    assert nu_max in draws
+    assert all(50 <= nu <= nu_max for nu in draws)
+    for s, path in enumerate(paths, start=1):
+        # the noise is drawn before nu, so the path is the null path's
+        null = simulate(models, 50, np.random.default_rng(s))
+        assert 50 <= path.true_nu <= nu_max
+        assert np.array_equal(path.observations, null.observations)
 
 
 @settings(max_examples=50, deadline=None)
