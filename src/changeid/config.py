@@ -70,7 +70,7 @@ _SIGNAL_KEYS = {"constant": {"amplitude"},
 _GRID_KEYS = {"min", "max", "count", "single_point", "spacing", "weights"}
 _MIXING_KEYS = {"uniform": _GRID_KEYS, "gaussian": _GRID_KEYS | {"v"}}
 # the most mixing grid points: every look-ahead step holds N x count
-# entries, and a count past int64 is an index numpy cannot build a grid of
+# entries, and np.linspace fails on a count past int64
 _MAX_GRID = 1 << 16
 
 

@@ -170,8 +170,8 @@ class ChangePointPrior:
         if self.kind == self.EXPLICIT:
             return int(min(np.searchsorted(self._cdf, v, side="right")[0],
                            self._probs.size - 1))
-        # a draw past int64's range overflows to inf at a tiny rho or a
-        # huge scale; it lies past every horizon, and _NU_MAX stands for it
+        # a tiny rho or a huge scale draws past int64's range, inf where
+        # the quotient or power overflows (or v is 0): past every horizon
         with np.errstate(divide="ignore", over="ignore"):
             if self.kind == self.GEOMETRIC:
                 # max{k : (1-rho)^k > v}
