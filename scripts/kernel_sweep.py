@@ -1,6 +1,7 @@
 """Microseconds per looked-ahead step of ``Detector.lookahead`` over N x G,
-per ``lookahead`` call over the block size, and per exact
-``Detector.frame`` over n.
+per ``lookahead`` call over the block size, per exact ``Detector.frame``
+over n, and per block screen of ``rule.run`` over the block's steps and
+streams.
 
 Usage (from the repository root):
 
@@ -33,6 +34,16 @@ detector looks ahead and commits n Gaussian observations in 64-step
 blocks, then builds ``FRAME_CALLS`` frames at n per repetition, and the
 best of ``REPS`` repetitions is kept.
 
+The ``screen`` table times the block screen of ``rule.run`` on one
+look-ahead block of m steps over N streams, for (m, N) in ``SCREEN_CASES``
+(G = 8): the thresholds lowered by the detector's slack, the ratio layout
+of every step (``engine.log_ratio_matrix``), the criterion (``rule._met``)
+and the steps where some stream passes, as a list.  The rows are those a
+``lookahead`` call returned; ``SCREEN_CALLS`` screens per repetition, best
+of ``REPS``.  A tree whose ratio layout puts the steps first, (m, N, N+1),
+is screened in that layout; one that puts them last, (N, N+1, m), in its
+own.
+
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
 """
@@ -62,6 +73,10 @@ FRAME_CALLS = 5
 BLOCK_CASES = ((2, 8, None, (1, 64, 256, 1024)), (8, 32, 200, (64, 128, 256)),
                (3, 5, None, (1024,)))
 BLOCK_CALLS = 16
+# (steps, streams) of the ``screen`` table
+SCREEN_CASES = ((64, 2), (2048, 2), (128, 8))
+SCREEN_GRID = 8
+SCREEN_CALLS = 200
 
 
 def time_path(engine, prior, models, mixing, window, obs,
@@ -94,9 +109,27 @@ def time_frame(engine, prior, models, mixing, window, obs) -> float:
                              repeat=REPS)) / FRAME_CALLS
 
 
+def screen_call(engine, rule, det, mix, bound, lsv, log_a):
+    """A no-argument call of ``rule.run``'s screen of the (m, N) rows
+    ``mix`` and ``bound``, in the ratio layout of the tree measured."""
+    square = np.zeros((2, 2))
+    steps_last = engine.log_ratio_matrix(square, square[0], square).shape[1] == 3
+    if steps_last:
+        mix, bound, axis = mix.T, bound.T, 0
+    else:
+        axis = -1
+
+    def screen():
+        screen_a = log_a.copy()
+        screen_a[:, 1:] -= det.screen_slack
+        return rule._met(engine.log_ratio_matrix(mix, lsv, bound),
+                         screen_a).any(axis=axis).tolist()
+    return screen
+
+
 def sweep(src: str) -> dict:
     sys.path.insert(0, src)
-    from changeid import engine
+    from changeid import engine, rule
     from changeid.models import ARGaussianSignal
     from changeid.prior import ChangePointPrior
 
@@ -138,9 +171,22 @@ def sweep(src: str) -> dict:
             blocks.append({"streams": n, "grid": g, "window": window,
                            "block": size,
                            "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
+    screens = []
+    mixing = engine.MixingMeasure.uniform(0.25, 2.0, SCREEN_GRID, spacing="log")
+    for m, n in SCREEN_CASES:
+        models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
+        det = engine.Detector(prior, models, mixing, capacity=m)
+        mix, bound = det.lookahead(rng.standard_normal((n, m)))
+        log_a = rule.calibrate(0.05, 0.05, n_streams=n).log_a
+        screen = screen_call(engine, rule, det, mix, bound,
+                             det.tables.log_survivor[:m], log_a)
+        best = min(timeit.repeat(screen, number=SCREEN_CALLS, repeat=REPS))
+        screens.append({"steps": m, "streams": n, "grid": SCREEN_GRID,
+                        "us_per_screen": round(1e6 * best / SCREEN_CALLS, 3)})
     return {"steps": STEPS, "block": BLOCK, "reps": REPS, "rows": rows,
             "block_calls": BLOCK_CALLS, "blocks": blocks,
-            "frame_calls": FRAME_CALLS, "frames": frames}
+            "frame_calls": FRAME_CALLS, "frames": frames,
+            "screen_calls": SCREEN_CALLS, "screen": screens}
 
 
 def main(argv=None) -> int:

@@ -145,6 +145,9 @@ def _is_nan(value) -> bool:
 # the least value of each plan integer; None (full mode) is a valid window
 _LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1,
           "change_stream": 1}
+# the most trials a batch runs: a campaign lists every task and outcome of a
+# batch, about 0.4 KB a trial, before and after its trials run
+_MAX_TRIALS = 10 ** 6
 
 
 def _plan_value(key: str, value):
@@ -200,6 +203,9 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
         value = getattr(cfg, key)
         if value is not None and value < least:
             raise ConfigError(f"{key} must be >= {least}")
+    if cfg.trials > _MAX_TRIALS:
+        raise ConfigError(f"trials must be at most {_MAX_TRIALS}, "
+                          f"got {cfg.trials}")
     if cfg.change_stream > cfg.n_streams:
         raise ConfigError(f"change_stream must be <= {cfg.n_streams}")
     return cfg

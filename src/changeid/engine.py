@@ -23,13 +23,17 @@ every row.  From b the engine derives, each step:
 and on demand the exact sup-over-grid statistic (denominator against
 stream j) and the ratio matrix against the no-change hypothesis and every
 competitor.  No reduction runs along a short trailing axis, which numpy
-reduces one row per inner loop: the per-grid-point mixtures of a block
-are copied into a (grid, m, N) buffer, whose max over the leading axis is
-the screen bound and whose log-sum-exp, summed in grid order, is the
-mixture; an exact frame transposes its window's rows, a chunk at a time,
-into a (grid, N, rows) scratch and reduces over the candidates along the
-contiguous last axis of an (N, n - s) buffer.  A max is exact in any
-order, so the bound and the exact statistic do not depend on the layout.
+reduces one row per inner loop, and no pass over a block broadcasts along
+one: the per-grid-point mixtures of a block are copied into a (grid, N, m)
+buffer, whose max over the leading axis is the screen bound and whose
+log-sum-exp, summed in grid order, is the mixture, each kept as (N, m)
+with the steps last; the rule's block screen forms its (N, N+1, m) ratio
+layout from them (``log_ratio_matrix``) and reduces over the competitors
+along the steps; an exact frame transposes its window's rows, a chunk at
+a time, into a (grid, N, rows) scratch and reduces over the candidates
+along the contiguous last axis of an (N, n - s) buffer.  A max is exact
+in any order, and a sum over the grid adds its terms in grid order in
+either layout, so the statistics do not depend on the layout.
 
 Observations enter through one kernel, ``Detector.lookahead``, which
 computes all of this for a block of m steps in a few numpy calls over
@@ -323,18 +327,19 @@ def log_ratio_matrix(log_mix: np.ndarray,
     is log_mix - log_survivor, column j is log_mix - log_sup[j-1], and the
     entries (i, i) of columns 1..N are NaN.
 
-    Leading axes broadcast: (m, N) rows of ``log_mix`` and ``log_sup`` with
-    m survivor values give the m layouts of a block of steps, shape
-    (m, N, N+1), each entry the same subtraction as for one step."""
-    n = log_mix.shape[-1]
-    den = np.empty(log_sup.shape[:-1] + (n + 1,))
-    den[..., 0] = log_survivor
-    den[..., 1:] = log_sup
+    Trailing axes broadcast: (N, m) columns of ``log_mix`` and ``log_sup``
+    with m survivor values give the layouts of a block of m steps, shape
+    (N, N+1, m), each entry the same subtraction as for one step, and every
+    pass runs along the step axis rather than along the short N + 1."""
+    n = log_mix.shape[0]
+    den = np.empty((n + 1,) + log_sup.shape[1:])
+    den[0] = log_survivor
+    den[1:] = log_sup
     # -inf - -inf (a window or survivor without prior mass) is a NaN
     # ratio, which never passes
     with np.errstate(invalid="ignore"):
-        ratio = log_mix[..., :, None] - den[..., None, :]
-    ratio[..., own_entries(n)] = np.nan
+        ratio = log_mix[:, None] - den
+    ratio[own_entries(n)] = np.nan
     return ratio
 
 
@@ -379,8 +384,18 @@ class StreamTables:
         xt = whiten(hist, self.ar)[:, order:].T
         m = len(xt)
         u = self.sw[n0:n0 + m] * xt / self.s2
-        out = np.multiply(u[:, :, None], self.grid, out=out)
-        out -= self.half_v[n0:n0 + m, :, None] * self.grid_sq
+        # a ufunc with a stride-0 operand on the short grid axis runs one
+        # inner loop of G entries per (step, stream); u and v/2 are copied
+        # out over the grid first, so that the multiplies and the subtract
+        # run along whole rows, with the same products and differences
+        if out is None:
+            out = np.empty(u.shape + self.grid.shape[1:])
+        out[...] = u[:, :, None]
+        out *= self.grid
+        hv = np.empty_like(out)
+        hv[...] = self.half_v[n0:n0 + m, :, None]
+        hv *= self.grid_sq
+        out -= hv
         return out
 
 
@@ -523,10 +538,10 @@ class Detector:
         self._cumz = np.empty((rows,) + self.tables.grid.shape)
         self._cumz[0] = 0.0
         # the look-ahead frontier: steps n+1.._end are looked ahead but not
-        # committed.  The mixture and screen bound rows (m+1, N) are those
-        # of times _end-m.._end, so time n is row n - _end - 1
+        # committed.  The mixture and screen bound columns (N, m+1) are
+        # those of times _end-m.._end, so time n is column n - _end - 1
         self._end = 0
-        self._mix = self._bound = np.full((1, self.n_streams), -np.inf)
+        self._mix = self._bound = np.full((self.n_streams, 1), -np.inf)
         # the largest |cumz| and |log-pmf| looked ahead so far
         self._scale = 1.0
 
@@ -554,15 +569,18 @@ class Detector:
         """Make room in cumz for the times up to n0 + m.  The rows that are
         still read, times max(0, n0 - L) .. n0 (the window of every step
         of the block and the previous chunk's suffix), move to the front
-        of the buffer, which is reallocated at twice the L + 1 + m rows a
-        block of m steps needs when they do not fit; in full mode (L =
-        infinity) every row is kept."""
+        of the buffer, which is reallocated when they do not fit: in window
+        mode at twice the L + 1 + m rows a block of m steps reads at most,
+        so that a slide leaves room for at least one more such block, and
+        in full mode (L = infinity), which keeps every row, at twice the
+        rows."""
         lo = max(0, n0 - self._chunk)
         live = self._cumz[lo - self._base:n0 + 1 - self._base]
         need = n0 + m + 1 - lo
         cumz = self._cumz
         if need > len(cumz):
-            cumz = np.empty((2 * need,) + cumz.shape[1:])
+            size = need if self.window is None else self.window + 1 + m
+            cumz = np.empty((2 * size,) + cumz.shape[1:])
         cumz[:len(live)] = live
         self._cumz, self._base = cumz, lo
 
@@ -574,7 +592,9 @@ class Detector:
         which raises only when it is the block's first step: a caller
         commits the usable steps, and its next look-ahead raises at the bad
         step.  Returns the rows of ``log_mix_values`` and of
-        ``sup_lower_bounds`` for the looked-ahead steps, one per step.
+        ``sup_lower_bounds`` for the looked-ahead steps, one per step, as
+        (m, N) views of the detector's (N, m + 1) columns; their transposes
+        are the stream-major rows ``log_ratio_matrix`` screens.
 
         One check finds both: the block's largest |cumz|, which the
         screen's slack reads too, must lie below float max / 4.  A
@@ -665,21 +685,22 @@ class Detector:
                     _logaddexp_into(rows[m - t:], suf[-1, :t])
                 self._suffix = suf[-1]
             # per-grid-point mixture log sum_k pi_k LR_{theta_g}(k, n),
-            # copied into a grid-point-major buffer so that the reductions
-            # over the grid run along a leading axis (numpy reduces a short
-            # trailing axis row by row); a ufunc on the transposed view
-            # would keep its strided memory order
+            # copied into a (grid, stream, step) buffer so that the
+            # reductions over the grid run along a leading axis and every
+            # pass along the steps (numpy reduces a short trailing axis row
+            # by row); a ufunc on the transposed view would keep its
+            # strided memory order
             a += cumz[1:]
-            t1 = np.empty((a.shape[2], m, self.n_streams))
-            np.copyto(t1, a.transpose(2, 0, 1))
+            t1 = np.empty((a.shape[2], self.n_streams, m))
+            np.copyto(t1, a.transpose(2, 1, 0))
             bound = t1.max(axis=0)
-            t1 += tab.logw.T[:, None]
+            t1 += tab.logw.T[:, :, None]
             mix = _lse(t1)
-        # the last rows so far are those of the committed time n
-        self._mix = np.concatenate((self._mix[-1:], mix))
-        self._bound = np.concatenate((self._bound[-1:], bound))
+        # the last columns so far are those of the committed time n
+        self._mix = np.concatenate((self._mix[:, -1:], mix), axis=1)
+        self._bound = np.concatenate((self._bound[:, -1:], bound), axis=1)
         self._end = n0 + m
-        return mix, bound
+        return self._mix[:, 1:].T, self._bound[:, 1:].T
 
     def advance(self) -> None:
         """Commit the next looked-ahead step without building a frame."""
@@ -702,7 +723,7 @@ class Detector:
     @property
     def log_mix_values(self) -> np.ndarray:
         """log Lambda^pi_{i,W}(n) for every stream, shape (N,)."""
-        return self._mix[self.n - self._end - 1]
+        return self._mix[:, self.n - self._end - 1]
 
     @property
     def sup_lower_bounds(self) -> np.ndarray:
@@ -710,7 +731,7 @@ class Detector:
         max_g log sum_k pi_k LR_{theta_g}(k, n) over the window.  Since
         max_g sum_k <= sum_k max_g, it is below ``log_sup_values``, and it
         is at least ``log_mix_values`` because the weights sum to 1."""
-        return self._bound[self.n - self._end - 1]
+        return self._bound[:, self.n - self._end - 1]
 
     @property
     def screen_slack(self) -> float:

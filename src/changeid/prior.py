@@ -97,9 +97,11 @@ class ChangePointPrior:
     # -- basic queries ---------------------------------------------------
 
     def _weibull_log_survivor(self, n) -> np.ndarray:
-        # S(n) = exp(-(n / scale)**kappa), S(0) = 1
+        # S(n) = exp(-(n / scale)**kappa), S(0) = 1.  A tiny scale makes
+        # n / scale overflow to inf, and log S to its limit -inf
         n = np.asarray(n, dtype=float)
-        return -np.power(n / self.scale, self.kappa)
+        with np.errstate(over="ignore"):
+            return -np.power(n / self.scale, self.kappa)
 
     def pmf(self, k: int) -> float:
         if k < -1:
@@ -137,9 +139,11 @@ class ChangePointPrior:
         if self.kind == self.DISCRETE_WEIBULL:
             ls0 = self._weibull_log_survivor(k)
             ls1 = self._weibull_log_survivor(k + 1)
-            # log(S(k) - S(k+1)) without cancellation for tiny tails
-            with np.errstate(divide="ignore"):
-                return head + ls0 + np.log(-np.expm1(ls1 - ls0))
+            # log(S(k) - S(k+1)) without cancellation for tiny tails; where
+            # S(k) is 0 in floating point (log -inf), so is the pmf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(ls0 > -np.inf, ls1 - ls0, -np.inf)
+                return head + ls0 + np.log(-np.expm1(step))
         out = np.full(k.shape, -np.inf, dtype=float)
         inside = k < self._probs.size
         with np.errstate(divide="ignore"):

@@ -155,8 +155,13 @@ class Verdict:
 def _met(log_ratio: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     """Per row of the (N, N+1) layout: does stream i beat every competitor
     threshold?  The (i, i) entries are skipped; a NaN ratio never passes.
-    Leading axes broadcast: a block of layouts (m, N, N+1) gives (m, N)."""
-    return ((log_ratio >= log_a) | own_entries(log_a.shape[0])).all(axis=-1)
+    Trailing axes broadcast: the layouts of a block of m steps, (N, N+1, m)
+    from ``log_ratio_matrix``, give (N, m), the compare and the reduction
+    over the competitors running along the step axis."""
+    tail = (1,) * (log_ratio.ndim - 2)
+    ok = log_ratio >= log_a.reshape(log_a.shape + tail)
+    ok |= own_entries(log_a.shape[0]).reshape(log_a.shape + tail)
+    return ok.all(axis=1)
 
 
 def check_stop(frame: StatisticFrame, thresholds: ThresholdMatrix) -> Optional[Verdict]:
@@ -182,7 +187,10 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     tables (one more than the grid's where N x G is odd).  Each block is
     screened at once: the whole ratio layout of every looked-ahead step,
     with the cheap lower bounds ``sup_lower_bounds`` in place of the exact
-    competitor denominators, is tested against every threshold.  Every
+    competitor denominators, is tested against every threshold by the
+    criterion ``check_stop`` applies, ``_met``, on one (N, N+1, m) array
+    with the steps last, so that each compare and reduction runs along the
+    block rather than along the N + 1 competitors.  Every
     step is then committed with ``advance()``, and only a step at which some
     stream passes the screen gets an exact frame.  The screen never
     changes the verdict: its ratios bound the exact ones from above, so a
@@ -211,8 +219,9 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
         # the bounds may round above the exact sup by the detector's slack
         screen_a = log_a.copy()
         screen_a[:, 1:] -= det.screen_slack
-        cand = _met(log_ratio_matrix(mix, lsv[t:t + len(mix)], bound),
-                    screen_a).any(axis=-1).tolist()
+        # stream-major, (N, N+1, m): every pass runs along the steps
+        cand = _met(log_ratio_matrix(mix.T, lsv[t:t + len(mix)], bound.T),
+                    screen_a).any(axis=0).tolist()
         for hit in cand:
             det.advance()
             t += 1

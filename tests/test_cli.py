@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -767,6 +768,21 @@ class TestCommandLine:
             "error: stream 1: mixing grid end 0.25 outside parameter "
             "interval [0.5, 2]\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    def test_weibull_scale_past_float_range_warns_nothing(
+            self, config_path, tmp_path, command):
+        """At scale 1e-308, n / scale overflows for n >= 2: the survivor
+        and the pmf reach their limit 0 (log -inf), with no warning."""
+        path = config_path({"prior": {"kind": "discrete_weibull",
+                                      "kappa": 0.5, "scale": 1e-308}})
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        if command == "detect":
+            write_data_csv(tmp_path / "data.csv",
+                           np.random.default_rng(0).standard_normal((2, 40)))
+            argv.append(str(tmp_path / "data.csv"))
+        assert main(argv) in (0, 4)
+
     @pytest.mark.parametrize("command, flag", [
         ("calibrate", "--seed"), ("calibrate", "--trials"),
         ("calibrate", "--threads"), ("calibrate", "--window"),
@@ -837,6 +853,8 @@ class TestRangeChecks:
         ("simulate", "--threads", "0", "threads must be >= 1"),
         ("detect", "--window", "0", "window must be >= 1"),
         ("simulate", "--window", "0", "window must be >= 1"),
+        ("simulate", "--trials", "1000001",
+         "trials must be at most 1000000, got 1000001"),
     ])
     def test_out_of_range_flag_exit_2_before_any_build(
             self, config_path, tmp_path, capsys, monkeypatch, command, flag,
@@ -850,6 +868,20 @@ class TestRangeChecks:
             argv.append(str(tmp_path / "unread.csv"))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("trials", [1e20, 2 ** 63])
+    def test_trials_past_max_exit_2_at_once(self, config_path, capsys,
+                                            command, trials):
+        """A trial count past the maximum exits 2 naming the key before a
+        batch lists its tasks; 1e20 trials once grew the process until it
+        was killed."""
+        start = time.perf_counter()
+        assert main([command, "--config",
+                     config_path({"trials": trials})]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: trials must be at most 1000000, got {int(trials)}\n")
 
     def test_flags_override_out_of_range_config_values(self, config_path,
                                                        tmp_path, capsys):

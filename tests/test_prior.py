@@ -68,6 +68,19 @@ class TestDiscreteWeibull:
         assert lp == pytest.approx(math.log(1 - math.exp(-0.5)) - 250.0, rel=1e-9)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_scale_past_float_range_reaches_the_limit(self):
+        # n / scale overflows for n >= 2: S(n) and pi_n are 0, not NaN,
+        # and no warning is raised
+        prior = ChangePointPrior.discrete_weibull(0.5, 1e-308)
+        k = np.arange(6)
+        assert prior.log_survivor(k)[2:].tolist() == [-math.inf] * 4
+        lp = prior.log_pmf(k)
+        assert lp[0] == 0.0 and lp[1] == -1e154
+        assert lp[2:].tolist() == [-math.inf] * 4
+        assert prior.log_pmf_head_merged(6).tolist() == lp.tolist()
+
+
 class TestExplicitPmf:
     def test_renormalization_and_head(self):
         prior = ChangePointPrior.from_pmf([2.0, 1.0, 1.0], q=0.2)

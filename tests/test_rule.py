@@ -306,17 +306,17 @@ class TestBlockScreen:
         log_a = calibrate(0.2, 0.2, n_streams=n_streams).log_a
         for holes in (0.0, 0.2, 0.6):
             m = 50
-            mix = self._rows(rng, (m, n_streams), holes)
-            bound = self._rows(rng, (m, n_streams), holes)
+            mix = self._rows(rng, (n_streams, m), holes)
+            bound = self._rows(rng, (n_streams, m), holes)
             lsv = self._rows(rng, m, holes)
             ratio = log_ratio_matrix(mix, lsv, bound)
             met = _met(ratio, log_a)
-            assert ratio.shape == (m, n_streams, n_streams + 1)
-            assert met.shape == (m, n_streams)
+            assert ratio.shape == (n_streams, n_streams + 1, m)
+            assert met.shape == (n_streams, m)
             for s in range(m):
-                one = log_ratio_matrix(mix[s], lsv[s], bound[s])
-                np.testing.assert_array_equal(ratio[s], one)
-                np.testing.assert_array_equal(met[s], _met(one, log_a))
+                one = log_ratio_matrix(mix[:, s], lsv[s], bound[:, s])
+                np.testing.assert_array_equal(ratio[..., s], one)
+                np.testing.assert_array_equal(met[:, s], _met(one, log_a))
 
     @pytest.mark.filterwarnings("error")
     def test_prior_without_mass_in_window_warns_nothing(self):
@@ -335,6 +335,10 @@ class TestBlockScreen:
                 check_stop(det.step(x), th)
 
 
+# the steps between the sampled frames of ``_largest_blocks_match_single_steps``
+_SAMPLE = 499
+
+
 def test_largest_blocks_match_single_steps(monkeypatch):
     _largest_blocks_match_single_steps(monkeypatch, 1)
 
@@ -347,8 +351,11 @@ def _largest_blocks_match_single_steps(monkeypatch, n_streams):
     """At G = 4 the blocks of ``run`` grow to _BLOCK_ENTRIES // (4 N)
     steps.  On a path three times that long, with outliers that make the
     scan re-base inside the first block of that size, every looked-ahead
-    row and every frame is the one a ``Detector.step`` loop gives, and the
-    verdict is the screen-free loop's."""
+    row and every row of cumz is the one a single-step loop gives.  So is
+    the frame at every _SAMPLE-th step and at every step the block screen
+    passes, up to the first that stops, and that step's verdict is the
+    screen-free loop's: the screen passes it, and no sampled step before
+    it meets the exact criterion."""
     models = [ARGaussianSignal(0.25, 4.0)] * n_streams
     mix = MixingMeasure.uniform(0.25, 4.0, 4)
     prior = ChangePointPrior.geometric(1e-3)
@@ -377,18 +384,35 @@ def _largest_blocks_match_single_steps(monkeypatch, n_streams):
     single = Detector(prior, models, mix, capacity=16)
     replay = Detector(prior, models, mix, capacity=16)
     want = None
+    frames = 0
     for mix_rows, bound_rows in blocks:
         replay.lookahead(obs[:, replay.n:replay.n + len(mix_rows)])
+        # the rule's screen thresholds, lowered by the block's slack
+        screen_a = th.log_a.copy()
+        screen_a[:, 1:] -= replay.screen_slack
         for r in range(len(mix_rows)):
-            one = single.step(obs[:, single.n])
+            single.lookahead(obs[:, single.n:single.n + 1])
+            single.advance()
             replay.advance()
-            assert mix_rows[r].tobytes() == one.log_mix.tobytes()
+            assert mix_rows[r].tobytes() == single.log_mix_values.tobytes()
             assert bound_rows[r].tobytes() == single.sup_lower_bounds.tobytes()
+            if want is not None:
+                continue
+            passed = _met(log_ratio_matrix(mix_rows[r], single.log_survivor,
+                                           bound_rows[r]), screen_a).any()
+            if not passed and single.n % _SAMPLE:
+                continue
+            one = single.frame()
             f = replay.frame()
+            frames += 1
             for name in ("log_mix", "log_sup", "log_ratio"):
                 assert getattr(f, name).tobytes() == getattr(one, name).tobytes()
             assert f.log_survivor == one.log_survivor
-            want = want or check_stop(one, th)
+            want = check_stop(one, th)
+            assert passed or want is None
+    n = single.n
+    assert replay.n == n == sum(sizes) and frames > horizon // _SAMPLE // 2
+    assert replay._cumz[:n + 1].tobytes() == single._cumz[:n + 1].tobytes()
     assert got.stopped and got.time > horizon - 400
     assert (got.time, got.stream, got.met_streams) == \
            (want.time, want.stream, want.met_streams)
@@ -425,6 +449,37 @@ def test_window_run_memory_does_not_grow_with_the_path():
             tracemalloc.stop()
         assert not verdict.stopped
     assert peaks[1] - peaks[0] < 4 * 2 ** 20
+
+
+def test_window_run_slides_its_buffer_at_most_every_other_block(monkeypatch):
+    """At N = 8, G = 32 and window 200 the rule looks ahead a 64-step block
+    and then 128-step ones.  The buffer of cumz is sized at twice the
+    L + 1 + m rows of the first, 530, and a slide leaves 329 rows in use,
+    so the block after a slide fits; sized at twice the rows the first
+    blocks used, 386, it slid on nearly every call."""
+    n_streams, width = 8, 32
+    models = [ARGaussianSignal(0.25, 2.0) for _ in range(n_streams)]
+    mix = MixingMeasure.uniform(0.25, 2.0, width)
+    log_a = np.full((n_streams, n_streams + 1), 40.0)
+    log_a[np.eye(n_streams, n_streams + 1, k=1, dtype=bool)] = np.nan
+    slid = []
+
+    class Counted(Detector):
+        def lookahead(self, block):
+            slid.append(False)
+            return super().lookahead(block)
+
+        def _slide(self, n0, m):
+            slid[-1] = True
+            super()._slide(n0, m)
+
+    monkeypatch.setattr(rule, "Detector", Counted)
+    obs = np.random.default_rng(8).standard_normal((n_streams, 6_000))
+    verdict = run(models, ChangePointPrior.geometric(1e-4), mix,
+                  ThresholdMatrix(log_a=log_a), obs, window=200)
+    assert not verdict.stopped and len(slid) == 48
+    assert not any(a and b for a, b in zip(slid, slid[1:]))
+    assert sum(slid) <= len(slid) // 2
 
 
 def _draw_prior(data, kind):
