@@ -36,13 +36,11 @@ best of ``REPS`` repetitions is kept.
 
 The ``screen`` table times the block screen of ``rule.run`` on one
 look-ahead block of m steps over N streams, for (m, N) in ``SCREEN_CASES``
-(G = 8): the thresholds lowered by the detector's slack, the ratio layout
-of every step (``engine.log_ratio_matrix``), the criterion (``rule._met``)
-and the steps where some stream passes, as a list.  The rows are those a
-``lookahead`` call returned; ``SCREEN_CALLS`` screens per repetition, best
-of ``REPS``.  A tree whose ratio layout puts the steps first, (m, N, N+1),
-is screened in that layout; one that puts them last, (N, N+1, m), in its
-own.
+(G = 8): ``rule._passes_screen``, the function ``rule.run`` screens a
+block with, on the rows a ``lookahead`` call returned, and the steps where
+some stream passes as a list; ``SCREEN_CALLS`` screens per repetition,
+best of ``REPS``.  A tree without ``rule._passes_screen`` gets an empty
+table.
 
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
@@ -109,24 +107,6 @@ def time_frame(engine, prior, models, mixing, window, obs) -> float:
                              repeat=REPS)) / FRAME_CALLS
 
 
-def screen_call(engine, rule, det, mix, bound, lsv, log_a):
-    """A no-argument call of ``rule.run``'s screen of the (m, N) rows
-    ``mix`` and ``bound``, in the ratio layout of the tree measured."""
-    square = np.zeros((2, 2))
-    steps_last = engine.log_ratio_matrix(square, square[0], square).shape[1] == 3
-    if steps_last:
-        mix, bound, axis = mix.T, bound.T, 0
-    else:
-        axis = -1
-
-    def screen():
-        screen_a = log_a.copy()
-        screen_a[:, 1:] -= det.screen_slack
-        return rule._met(engine.log_ratio_matrix(mix, lsv, bound),
-                         screen_a).any(axis=axis).tolist()
-    return screen
-
-
 def sweep(src: str) -> dict:
     sys.path.insert(0, src)
     from changeid import engine, rule
@@ -173,13 +153,16 @@ def sweep(src: str) -> dict:
                            "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
     screens = []
     mixing = engine.MixingMeasure.uniform(0.25, 2.0, SCREEN_GRID, spacing="log")
-    for m, n in SCREEN_CASES:
+    for m, n in SCREEN_CASES if hasattr(rule, "_passes_screen") else ():
         models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
         det = engine.Detector(prior, models, mixing, capacity=m)
         mix, bound = det.lookahead(rng.standard_normal((n, m)))
         log_a = rule.calibrate(0.05, 0.05, n_streams=n).log_a
-        screen = screen_call(engine, rule, det, mix, bound,
-                             det.tables.log_survivor[:m], log_a)
+        lsv, slack = det.tables.log_survivor[:m], det.screen_slack
+
+        def screen():
+            return rule._passes_screen(log_a, slack, mix.T, lsv,
+                                       bound.T).tolist()
         best = min(timeit.repeat(screen, number=SCREEN_CALLS, repeat=REPS))
         screens.append({"steps": m, "streams": n, "grid": SCREEN_GRID,
                         "us_per_screen": round(1e6 * best / SCREEN_CALLS, 3)})

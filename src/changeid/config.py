@@ -146,7 +146,7 @@ def _is_nan(value) -> bool:
 _LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1,
           "change_stream": 1}
 # the most trials a batch runs: a campaign lists every task and outcome of a
-# batch, about 0.4 KB a trial, before and after its trials run
+# batch, about 0.35 KB a trial, before and after its trials run
 _MAX_TRIALS = 10 ** 6
 
 

@@ -12,9 +12,10 @@ Herk 1992; Gil & Werman 1993) with chunk length L = window: a step costs
 O(grid) amortised, and full mode is the case L = infinity, a running
 log-sum-exp.  The scan and the exact frames read only the rows of the window
 and of the previous chunk, so window mode keeps cumz in a sliding buffer of
-about 2(L + 1 + m) rows for look-ahead blocks of m steps: when a block would
-run past its end, the rows still read move to its front.  Full mode keeps
-every row.  From b the engine derives, each step:
+about 2(L + 1 + m) rows for look-ahead blocks of m steps, and never more
+than the capacity + 1 + m: when a block would run past its end, the rows
+still read move to its front.  Full mode keeps every row.  From b the
+engine derives, each step:
 
 * log of the prior-and-weight mixture statistic (numerator of every ratio),
 * max over the grid of the per-grid-point mixture, a lower bound on the
@@ -571,16 +572,19 @@ class Detector:
         of the block and the previous chunk's suffix), move to the front
         of the buffer, which is reallocated when they do not fit: in window
         mode at twice the L + 1 + m rows a block of m steps reads at most,
-        so that a slide leaves room for at least one more such block, and
-        in full mode (L = infinity), which keeps every row, at twice the
-        rows."""
+        so that a slide leaves room for at least one more such block, but
+        at no more than the cap + 1 + m rows that hold every time up to the
+        tables' capacity, so a window longer than the path costs what full
+        mode does; in full mode (L = infinity), which keeps every row, at
+        twice the rows."""
         lo = max(0, n0 - self._chunk)
         live = self._cumz[lo - self._base:n0 + 1 - self._base]
         need = n0 + m + 1 - lo
         cumz = self._cumz
         if need > len(cumz):
-            size = need if self.window is None else self.window + 1 + m
-            cumz = np.empty((2 * size,) + cumz.shape[1:])
+            size = (2 * need if self.window is None else
+                    min(2 * (self.window + 1 + m), self.tables.cap + 1 + m))
+            cumz = np.empty((size,) + cumz.shape[1:])
         cumz[:len(live)] = live
         self._cumz, self._base = cumz, lo
 

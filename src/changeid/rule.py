@@ -164,6 +164,19 @@ def _met(log_ratio: np.ndarray, log_a: np.ndarray) -> np.ndarray:
     return ok.all(axis=1)
 
 
+def _passes_screen(log_a: np.ndarray, slack: float, log_mix: np.ndarray,
+                   log_survivor: np.ndarray, log_sup: np.ndarray) -> np.ndarray:
+    """Which steps of stream-major columns pass ``run``'s screen: ``_met``
+    on their ratio layout, with the bounds ``log_sup`` in place of the
+    exact competitor denominators, against ``log_a`` with its competitor
+    thresholds lowered by ``slack``, for any stream.  (N, m) columns give
+    m booleans, (N,) columns one."""
+    screen_a = log_a.copy()
+    screen_a[:, 1:] -= slack
+    return _met(log_ratio_matrix(log_mix, log_survivor, log_sup),
+                screen_a).any(axis=0)
+
+
 def check_stop(frame: StatisticFrame, thresholds: ThresholdMatrix) -> Optional[Verdict]:
     """Return a Verdict if some stream meets its full criterion at this
     frame, else None.  Ties break to the smallest stream index."""
@@ -216,12 +229,11 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
         # and raises at its step on the next block, after any earlier stop
         # has won
         mix, bound = det.lookahead(obs[:, t:t + size])
-        # the bounds may round above the exact sup by the detector's slack
-        screen_a = log_a.copy()
-        screen_a[:, 1:] -= det.screen_slack
+        # the bounds may round above the exact sup by the detector's slack;
         # stream-major, (N, N+1, m): every pass runs along the steps
-        cand = _met(log_ratio_matrix(mix.T, lsv[t:t + len(mix)], bound.T),
-                    screen_a).any(axis=0).tolist()
+        slack = det.screen_slack
+        cand = _passes_screen(log_a, slack, mix.T, lsv[t:t + len(mix)],
+                              bound.T).tolist()
         for hit in cand:
             det.advance()
             t += 1
@@ -231,8 +243,8 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
             # a candidate, but perfbench's traced run fails unless the rule
             # reads ``Detector.sup_lower_bounds`` (perfbench/tracer.py,
             # REQUIRED)
-            if not _met(log_ratio_matrix(det.log_mix_values, lsv[t - 1],
-                                         det.sup_lower_bounds), screen_a).any():
+            if not _passes_screen(log_a, slack, det.log_mix_values,
+                                  lsv[t - 1], det.sup_lower_bounds):
                 continue
             verdict = check_stop(det.frame(), thresholds)
             if verdict is not None:

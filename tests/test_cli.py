@@ -769,19 +769,30 @@ class TestCommandLine:
             "interval [0.5, 2]\n")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("command, code", [("detect", 0), ("simulate", 4)])
     def test_weibull_scale_past_float_range_warns_nothing(
-            self, config_path, tmp_path, command):
+            self, config_path, tmp_path, capsys, command, code):
         """At scale 1e-308, n / scale overflows for n >= 2: the survivor
-        and the pmf reach their limit 0 (log -inf), with no warning."""
+        and the pmf reach their limit 0 (log -inf), with no warning.  The
+        log-pmf is -inf there, not NaN, so ``detect`` alarms on stream 2 at
+        step 10; ``simulate``'s 25 trials per batch leave a PMI upper limit
+        above its bound (exit 4), with no NaN in the report."""
         path = config_path({"prior": {"kind": "discrete_weibull",
                                       "kappa": 0.5, "scale": 1e-308}})
-        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = [command, "--config", path, "--out", str(out)]
         if command == "detect":
             write_data_csv(tmp_path / "data.csv",
                            np.random.default_rng(0).standard_normal((2, 40)))
             argv.append(str(tmp_path / "data.csv"))
-        assert main(argv) in (0, 4)
+        assert main(argv) == code
+        if command == "detect":
+            verdict = json.loads((out / "verdict.json").read_text())
+            assert (verdict["stopped"], verdict["time"],
+                    verdict["stream"]) == (True, 10, 2)
+        else:
+            assert "nan" not in capsys.readouterr().out
+            assert "NaN" not in (out / "report.json").read_text()
 
     @pytest.mark.parametrize("command, flag", [
         ("calibrate", "--seed"), ("calibrate", "--trials"),
@@ -882,6 +893,22 @@ class TestRangeChecks:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             f"error: trials must be at most 1000000, got {int(trials)}\n")
+
+    def test_window_past_the_path_detects_as_full_mode(self, config_path,
+                                                       tmp_path):
+        """No maximum bounds ``window``: one far longer than the data runs,
+        allocates by the data, and gives full mode's verdict."""
+        obs = np.random.default_rng(3).standard_normal((2, 200))
+        obs[1, 120:] += 1.5
+        write_data_csv(tmp_path / "data.csv", obs)
+        verdicts = []
+        for i, extra in enumerate(([], ["--window", "1000000000"])):
+            out = tmp_path / f"out{i}"
+            assert main(["detect", "--config", config_path(), "--out",
+                         str(out), *extra, str(tmp_path / "data.csv")]) == 0
+            verdicts.append((out / "verdict.json").read_text())
+        assert verdicts[0] == verdicts[1]
+        assert json.loads(verdicts[0])["stopped"]
 
     def test_flags_override_out_of_range_config_values(self, config_path,
                                                        tmp_path, capsys):

@@ -482,6 +482,32 @@ def test_window_run_slides_its_buffer_at_most_every_other_block(monkeypatch):
     assert sum(slid) <= len(slid) // 2
 
 
+def test_window_past_the_path_sizes_its_buffer_by_the_path(monkeypatch):
+    """A window longer than the path gives full mode's verdict, and its
+    buffer of cumz is sized by the detector's capacity, the horizon: the
+    2(L + 1 + m) rows of window 10^9 would take about 256 GB at N x G =
+    16."""
+    kept = []
+
+    class Kept(Detector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kept.append(self)
+
+    monkeypatch.setattr(rule, "Detector", Kept)
+    models = [ARGaussianSignal(0.25, 2.0) for _ in range(2)]
+    mix = MixingMeasure.uniform(0.25, 2.0, 8)
+    log_a = np.full((2, 3), 6.0)
+    log_a[np.eye(2, 3, k=1, dtype=bool)] = np.nan
+    obs = np.random.default_rng(9).standard_normal((2, 300))
+    obs[0, 150:] += 1.0
+    prior = ChangePointPrior.geometric(0.01)
+    full, windowed = (run(models, prior, mix, ThresholdMatrix(log_a=log_a),
+                          obs, window=w) for w in (None, 10 ** 9))
+    assert windowed == full and full.stopped
+    assert len(kept[1]._cumz) <= 2 * obs.shape[1]
+
+
 def _draw_prior(data, kind):
     if kind == "geometric":
         return ChangePointPrior.geometric(
