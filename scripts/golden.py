@@ -6,7 +6,7 @@ Usage (from the repository root):
 
 ``tests/test_golden.py`` derives every entry again and compares it with
 the file, so a change that moves a verdict, a report byte or a statistic
-bit of these configs fails tier-1.  The file has four sections:
+bit of these configs fails tier-1.  The file has five sections:
 
 * ``verdicts``: SHA-256 over (stopped, time, stream) of every trial of a
   small campaign (a null batch, then a change batch on stream 1 at
@@ -23,9 +23,13 @@ bit of these configs fails tier-1.  The file has four sections:
 * ``statistics``: on the same detect inputs, SHA-256 over the float64
   bytes of every ``Detector.lookahead`` row (mixture, then screen bound)
   and of ``log_sup_values`` at every 37th step.
+* ``calibrate``: SHA-256 of ``calibrate``'s stdout at theta points 0.5
+  and 1 on the acceptance config and on N = 2 AR(1) 0.5 streams with a
+  sine signal (omega = 0.3, amplitude 3): the delay scales, which read
+  each model's whitened signal energy Q.
 
-Verdicts and report bytes are the gate: a change that claims no value
-change leaves them as they are.  The statistic section is a tripwire: a
+Verdicts, report bytes and ``detect`` and ``calibrate`` output are the
+gate: a change that claims no value change leaves them as they are.  The statistic section is a tripwire: a
 change that moves rounding regenerates it with this script and says so.
 The file records the numpy and Python versions it was written with; the
 test fails on another toolchain, naming both, rather than compare bits
@@ -101,6 +105,8 @@ REPORTS = {"acceptance-full": _config(horizon=300, trials=40, seed=7,
                                       theta_points=[1.0]),
            "acceptance-w50": _config(horizon=300, trials=40, seed=7,
                                      theta_points=[1.0], window=50)}
+CALIBRATES = {"acceptance": _config(theta_points=[0.5, 1.0]),
+              "sine-ar1": _config(models=[SINE] * 2, theta_points=[0.5, 1.0])}
 LOOKAHEAD_BLOCK = 128
 FRAME_EVERY = 37
 
@@ -199,7 +205,7 @@ def _statistics(path: str, obs: np.ndarray) -> str:
 def derive() -> dict:
     """Every digest of the golden file, computed by this tree."""
     golden = {"toolchain": toolchain(), "verdicts": {}, "reports": {},
-              "detect": {}, "statistics": {}}
+              "detect": {}, "statistics": {}, "calibrate": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (cfg, trials, horizon) in CAMPAIGNS.items():
             path = _write_config(tmp, name, cfg)
@@ -221,6 +227,11 @@ def derive() -> dict:
             golden["detect"][name] = {"exit": code,
                                       "stdout": _sha(stdout.encode())}
             golden["statistics"][name] = _statistics(path, obs)
+        for name, cfg in CALIBRATES.items():
+            code, stdout = _cli(["calibrate", "--config",
+                                 _write_config(tmp, name, cfg)])
+            golden["calibrate"][name] = {"exit": code,
+                                         "stdout": _sha(stdout.encode())}
     return golden
 
 

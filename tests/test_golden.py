@@ -1,9 +1,10 @@
-"""The standing digest gate: verdicts, report bytes, ``detect`` output and
-statistic bits of a set of small configs stay those of tests/golden.json.
+"""The standing digest gate: verdicts, report bytes, ``detect`` and
+``calibrate`` output and statistic bits of a set of small configs stay
+those of tests/golden.json.
 
 ``scripts/golden.py`` writes the file and derives every entry; see its
-docstring for the configs.  Verdicts, reports and detect output are the
-gate.  The statistic section is a tripwire that a change which moves
+docstring for the configs.  Verdicts, reports, detect and calibrate
+output are the gate.  The statistic section is a tripwire that a change which moves
 rounding regenerates with the script, saying so.
 """
 import importlib.util
@@ -29,7 +30,7 @@ def golden():
 
 
 @pytest.mark.parametrize("section", ["verdicts", "reports", "detect",
-                                     "statistics"])
+                                     "statistics", "calibrate"])
 def test_digests_match_golden(golden, section):
     want, here, got = golden
     if got is None:
