@@ -86,11 +86,9 @@ def _theory_tables(cfg: RunConfig, thresholds, models, mixing, prior) -> dict:
     pair, rows = theory.pmi_bound(thresholds)
     mu = prior.tail_exponent()
     # inf I_0j over stream j's mixing grid; for the shipped Gaussian model
-    # the pre-change drift rate I_0j equals the post-change rate I_j.  Only
-    # the delay scales read it, and a sine signal's Q costs a long whitening
-    competitor_info = ({j: min(m.info_number(g) for g in mixing.grid)
-                        for j, m in enumerate(models, start=1)}
-                       if cfg.theta_points else {})
+    # the pre-change drift rate I_0j equals the post-change rate I_j
+    competitor_info = {j: min(m.info_number(g) for g in mixing.grid)
+                       for j, m in enumerate(models, start=1)}
     tables = {
         "log_thresholds": thresholds.log_a.tolist(),
         "pfa_bound_per_stream": per_stream.tolist(),
@@ -438,6 +436,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, CalibrationError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the shape
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -756,9 +756,7 @@ class Detector:
         time n into a contiguous (G, N, c) scratch, whose max over the
         leading grid axis lands in an (N, n - s) buffer.  The log-sum-exp
         over the candidates runs along that buffer's contiguous last axis,
-        its terms summed in the order numpy summed the (n - s, N) rows:
-        in row order, by a cumulative sum, for N >= 2, and pairwise for
-        one stream."""
+        its terms summed in row order by a cumulative sum."""
         s, n, b = self._window_start, self.n, self._base
         width = n - s
         # (G, N, 1): the row of time n, grid point major
@@ -780,13 +778,9 @@ class Detector:
         np.maximum(m, _EMPTY, out=m)
         rowmax -= m[:, None]
         np.exp(rowmax, out=rowmax)
-        if streams == 1:
-            total = rowmax.sum(axis=1)
-        else:
-            np.add.accumulate(rowmax, axis=1, out=rowmax)
-            total = rowmax[:, -1]
+        np.add.accumulate(rowmax, axis=1, out=rowmax)
         with np.errstate(divide="ignore"):
-            out = np.log(total)
+            out = np.log(rowmax[:, -1])
         out += m
         return out
 

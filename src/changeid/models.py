@@ -9,7 +9,7 @@ i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
 """
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
@@ -88,15 +88,16 @@ class SineSignal:
         _check_signal(self)
 
     def values(self, horizon: int) -> np.ndarray:
-        t = np.arange(1, horizon + 1)
-        return self.amplitude * np.sin(self.omega * t + self.phase)
+        with np.errstate(over="ignore"):
+            angle = self.omega * np.arange(1, horizon + 1) + self.phase
+        finite = np.isfinite(angle)
+        if not finite.all():
+            raise ModelError(f"signal omega {self.omega!r}: omega * t + phase "
+                             f"overflows at step {np.argmin(finite) + 1}")
+        return self.amplitude * np.sin(angle)
 
 
 Signal = Union[ConstantSignal, SineSignal]
-
-
-# horizon of the Cesaro mean in ``whitened_energy`` for non-constant signals
-_ENERGY_WINDOW = 100_000
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,9 @@ class ARGaussianSignal:
 
     ``ARGaussianSignal(theta_min, theta_max, sigma)`` is the i.i.d. mean
     shift: N(0, sigma^2) pre-change, N(theta, sigma^2) post-change.  The
-    model describes the stream; the engine reads ``sigma``, ``ar_coeffs``
-    and ``signal_values`` to compute its LLR increments.
-    """
+    engine reads ``sigma``, ``ar_coeffs`` and ``signal_values`` for its LLR
+    increments; construction checks that the energy Q and the information
+    number at theta_max are finite."""
 
     theta_min: float
     theta_max: float
@@ -126,23 +127,18 @@ class ARGaussianSignal:
         object.__setattr__(self, "ar_coeffs", tuple(float(c) for c in self.ar_coeffs))
         if not np.all(np.isfinite(self.ar_coeffs)):
             raise ModelError(f"AR coefficients must be finite, got {self.ar_coeffs}")
-        if isinstance(self.signal, ConstantSignal):
-            # a constant signal's Q is closed form, so its information
-            # number is checked here (a zero Q stays allowed); a sine
-            # signal's Q needs a long whitening, which construction skips
-            q = self.whitened_energy()
-            if q == np.inf:
-                raise ModelError(
-                    f"ar_coeffs {list(self.ar_coeffs)} with amplitude "
-                    f"{self.signal.amplitude!r}: the whitened signal energy "
-                    f"(amplitude * (1 - sum(ar_coeffs)))**2 overflows")
-            with np.errstate(over="ignore"):
-                info = self.info_number(self.theta_max)
-            if info == np.inf:
-                raise ModelError(
-                    f"sigma {self.sigma!r}: the information number "
-                    f"theta_max**2 * Q / (2 * sigma**2) overflows at "
-                    f"theta_max {self.theta_max!r} with Q {q!r}")
+        q = self.whitened_energy()
+        if not q < math.inf:  # a zero Q stays allowed
+            raise ModelError(f"ar_coeffs {list(self.ar_coeffs)} with amplitude "
+                             f"{self.signal.amplitude!r}: the whitened signal "
+                             f"energy Q overflows")
+        with np.errstate(over="ignore"):
+            info = self.info_number(self.theta_max)
+        if info == np.inf:
+            raise ModelError(
+                f"sigma {self.sigma!r}: the information number "
+                f"theta_max**2 * Q / (2 * sigma**2) overflows at "
+                f"theta_max {self.theta_max!r} with Q {q!r}")
 
     def _check_theta(self, theta: float) -> None:
         if not (self.theta_min <= theta <= self.theta_max):
@@ -164,20 +160,28 @@ class ARGaussianSignal:
         return xi[burn:]
 
     def whitened_energy(self) -> float:
-        """Cesaro limit Q of the mean squared whitened signal."""
-        return self._energy
+        """Cesaro limit Q of the mean squared whitened signal, in closed form
+        from the filter's frequency response H(w) = 1 - sum_k c_k e^{-ikw}.
 
-    @functools.cached_property
-    def _energy(self) -> float:
-        # computed once per model: a non-constant signal whitens
-        # _ENERGY_WINDOW samples, and every information number reads Q
-        if isinstance(self.signal, ConstantSignal):
-            try:
-                return (self.signal.amplitude * (1.0 - sum(self.ar_coeffs))) ** 2
-            except OverflowError:
-                return math.inf
-        st = whiten(self.signal_values(_ENERGY_WINDOW), self.ar_coeffs)
-        return float(np.mean(st ** 2))
+        A constant A has Q = (A (1 - sum c))^2.  A sine A sin(wt + phi)
+        whitens to A |H(w)| sin(wt + phi + arg H(w)): Q = (A |H(w)|)^2 / 2,
+        unless w is a multiple of pi, where the sine is +-A sin(phi) and
+        Q = (A sin(phi) H(w))^2.  A float w is a multiple of pi when
+        ``math.remainder(w, math.pi) == 0.0``, as 0, float pi and 2 * float
+        pi are.  A Q that overflows is inf."""
+        sig, coeffs = self.signal, self.ar_coeffs
+        try:
+            if isinstance(sig, ConstantSignal):
+                return (sig.amplitude * (1.0 - sum(coeffs))) ** 2
+            # omega reduced into [-pi, pi], so that k * omega stays finite
+            w = math.remainder(sig.omega, 2 * math.pi)
+            h = 1.0 - sum(c * cmath.exp(-1j * k * w)
+                          for k, c in enumerate(coeffs, start=1))
+            if math.remainder(sig.omega, math.pi) == 0.0:
+                return (sig.amplitude * math.sin(sig.phase) * h.real) ** 2
+            return (sig.amplitude * abs(h)) ** 2 / 2.0
+        except OverflowError:
+            return math.inf
 
     def info_number(self, theta: float) -> float:
         """LLR drift rate theta^2 Q / (2 sigma^2)."""

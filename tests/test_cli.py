@@ -76,11 +76,10 @@ class TestCalibrate:
         again = json.loads(capsys.readouterr().out)["log_thresholds"]
         assert again == emitted
 
-    def test_theory_tables_whiten_once_per_model(self, config_path,
-                                                 monkeypatch, capsys):
-        # Q of a sine signal is a mean over 100 000 whitened samples; the
-        # delay scales read it for every theta, stream pair and grid point,
-        # and without theta points nothing reads it
+    def test_calibrate_with_sine_models_whitens_nothing(self, config_path,
+                                                        monkeypatch, capsys):
+        # Q of a sine signal is closed form: the delay scales read it for
+        # every theta, stream pair and grid point without a whitening
         model = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0,
                  "ar_coeffs": [0.5],
                  "signal": {"kind": "sine", "omega": 0.3, "amplitude": 3.0}}
@@ -93,11 +92,7 @@ class TestCalibrate:
         assert main(["calibrate", "--config", path]) == 0
         scales = json.loads(capsys.readouterr().out)["psi_delay_scale"]
         assert len(scales) == 3 and all(None not in v for v in scales.values())
-        assert len(calls) == 3
-        path = config_path({"models": [model] * 3, "theta_points": []},
-                           name="no_theta.yaml")
-        assert main(["calibrate", "--config", path]) == 0
-        assert len(calls) == 3
+        assert calls == []
 
     def test_prior_built_once(self, config_path, monkeypatch, capsys):
         # the head mass q that the thresholds read comes from the config
@@ -811,11 +806,13 @@ class TestCommandLine:
 
 class TestExtremeModelParameters:
     """A parameter whose square the information number reads must have a
-    positive finite square, and a constant signal's energy Q and its
-    information number at theta_max must be finite; a model that breaks
-    this exits 2 when it is built, not in the arithmetic of a later step."""
+    positive finite square, and each model's energy Q and its information
+    number at theta_max must be finite; a model that breaks this exits 2
+    when it is built, not in the arithmetic of a later step."""
 
     AR = {"kind": "ar_gaussian", "theta_min": 0.25, "theta_max": 2.0}
+    SINE = dict(AR, ar_coeffs=[0.5],
+                signal={"kind": "sine", "omega": 0.3, "amplitude": 3.0})
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate", "validate"])
     @pytest.mark.parametrize("overrides, message", [
@@ -835,20 +832,55 @@ class TestExtremeModelParameters:
          "theta_max squared must be a positive finite float, got 1e+300"),
         ({"models": [dict(AR, ar_coeffs=[-1e160])] * 2},
          "ar_coeffs [-1e+160] with amplitude 1.0: the whitened signal energy "
-         "(amplitude * (1 - sum(ar_coeffs)))**2 overflows"),
+         "Q overflows"),
+        ({"models": [dict(SINE, ar_coeffs=[1e308])] * 2},
+         "ar_coeffs [1e+308] with amplitude 3.0: the whitened signal energy "
+         "Q overflows"),
         ({"models": [dict(AR, sigma=1e-100,
                           signal={"kind": "constant", "amplitude": 1e100})] * 2},
          "sigma 1e-100: the information number theta_max**2 * Q / "
          "(2 * sigma**2) overflows at theta_max 2.0 with Q 1e+200"),
     ], ids=["sigma_underflow", "sigma_overflow", "constant_amplitude",
             "sine_amplitude", "theta_max", "energy_overflow",
-            "information_overflow"])
+            "sine_energy_overflow", "information_overflow"])
+    @pytest.mark.filterwarnings("error")
     def test_exit_2_naming_the_field(self, config_path, capsys, command,
                                      overrides, message):
         assert main([command, "--config", config_path(overrides)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: stream 1: invalid model: {message}\n"
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.filterwarnings("error")
+    def test_sine_phase_overflow_exit_2_naming_omega(self, config_path,
+                                                     tmp_path, capsys,
+                                                     command):
+        """omega * t overflows at t = 2: the signal's values name omega
+        before the engine reads them."""
+        signal = dict(self.SINE["signal"], omega=1e308)
+        argv = [command, "--config",
+                config_path({"models": [dict(self.SINE, signal=signal)] * 2})]
+        if command == "detect":
+            write_data_csv(tmp_path / "data.csv",
+                           np.random.default_rng(0).standard_normal((2, 40)))
+            argv.append(str(tmp_path / "data.csv"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: signal omega 1e+308: omega * t + "
+                                "phase overflows at step 2\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_sine_phase_overflow_calibrates(self, config_path, capsys):
+        # the closed-form Q never forms omega * t
+        signal = dict(self.SINE["signal"], omega=1e308)
+        path = config_path({"models": [dict(self.SINE, signal=signal)] * 2,
+                            "theta_points": [0.5, 1.0]})
+        assert main(["calibrate", "--config", path]) == 0
+        scales = json.loads(capsys.readouterr().out)["psi_delay_scale"]
+        assert all(0 < psi < np.inf for psis in scales.values()
+                   for psi in psis)
 
 
 class TestRangeChecks:
@@ -893,6 +925,20 @@ class TestRangeChecks:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
             f"error: trials must be at most 1000000, got {int(trials)}\n")
+
+    def test_horizon_past_memory_exit_2_at_once(self, config_path, capsys):
+        """A horizon of 10^17 steps needs 1.6 EB per path, past any address
+        space: the allocation fails at once, and the error names the
+        shape."""
+        path = config_path({"horizon": 10 ** 17, "trials": 2})
+        start = time.perf_counter()
+        assert main(["simulate", "--config", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert "100000000000000000" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_window_past_the_path_detects_as_full_mode(self, config_path,
                                                        tmp_path):

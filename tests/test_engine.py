@@ -937,8 +937,8 @@ class TestGridReductions:
 class TestExactFrame:
     """``log_sup_values`` walks the window's rows in chunks of at most
     ``_FRAME_ENTRIES`` entries.  Its max over the grid is exact in any
-    order, and its sum over the candidates keeps the order numpy gave the
-    (n - s, N) rows: row order for N >= 2, pairwise for one stream."""
+    order, and its sum over the candidates runs in row order for every
+    N."""
 
     T = 400
 
@@ -949,10 +949,8 @@ class TestExactFrame:
         a = det.tables.lp[s:n, None] + (cz[n - b] - cz[s - b:n - b]).max(axis=2)
         m = np.maximum(a.max(axis=0), -np.finfo(float).max)
         e = np.exp(a - m)
-        total = (e.sum(axis=0) if det.n_streams == 1
-                 else np.add.accumulate(e, axis=0)[-1])
         with np.errstate(divide="ignore"):
-            return np.log(total) + m
+            return np.log(np.add.accumulate(e, axis=0)[-1]) + m
 
     @staticmethod
     def _prior(case):

@@ -164,6 +164,54 @@ class TestARGaussianSignal:
         # mean of sin^2 is 1/2
         assert m.whitened_energy() == pytest.approx(0.5, abs=1e-3)
 
+    @staticmethod
+    def _cesaro(model, n=10 ** 6):
+        """Mean square of the first n samples of the whitened signal."""
+        return float(np.mean(whiten(model.signal_values(n),
+                                    model.ar_coeffs) ** 2))
+
+    @pytest.mark.parametrize("coeffs, omega", [
+        ((), 0.7), ((0.5,), 0.3), ((0.4, 0.1), 1.1)],
+        ids=["iid", "ar1", "ar2"])
+    def test_sine_energy_matches_long_cesaro_mean(self, coeffs, omega):
+        m = self._model(ar_coeffs=coeffs,
+                        signal=SineSignal(omega, phase=0.2, amplitude=3.0))
+        assert m.whitened_energy() == pytest.approx(self._cesaro(m), rel=1e-4)
+
+    @pytest.mark.parametrize("omega", [0.0, math.pi, 2 * math.pi],
+                             ids=["zero", "pi", "two_pi"])
+    def test_sine_energy_at_multiple_of_pi(self, omega):
+        # the signal is +-A sin(phi), and H(omega) = 1 - sum_k c_k cos(k omega)
+        # is real
+        coeffs, phase, amp = (0.4, 0.1), 0.7, 3.0
+        m = self._model(ar_coeffs=coeffs,
+                        signal=SineSignal(omega, phase=phase, amplitude=amp))
+        h = 1.0 - sum(c * math.cos(k * omega)
+                      for k, c in enumerate(coeffs, start=1))
+        q = m.whitened_energy()
+        assert q == (amp * math.sin(phase) * h) ** 2
+        assert q == pytest.approx(self._cesaro(m), rel=1e-4)
+
+    def test_constant_energy_is_the_closed_form_bit_for_bit(self):
+        coeffs, amp = (0.3, 0.2, -0.15), 1.7
+        m = self._model(ar_coeffs=coeffs, signal=ConstantSignal(amp))
+        assert m.whitened_energy() == (amp * (1.0 - sum(coeffs))) ** 2
+
+    def test_sine_information_must_be_finite(self):
+        # the filter's gain overflows at any omega
+        with pytest.raises(ModelError, match=r"^ar_coeffs \[1e\+308\] .* "
+                                             r"energy Q overflows"):
+            self._model(ar_coeffs=(1e308,),
+                        signal=SineSignal(0.3, amplitude=3.0))
+
+    def test_sine_phase_overflow_names_omega(self):
+        # omega * t overflows at t = 2; the energy never forms omega * t
+        m = self._model(signal=SineSignal(1e308))
+        assert 0 < m.whitened_energy() < math.inf
+        with pytest.raises(ModelError, match=r"^signal omega 1e\+308: .* "
+                                             r"overflows at step 2$"):
+            m.signal_values(5)
+
     def test_noise_autocorrelation(self, rng):
         m = self._model(stationary_init=True)
         x = m.sample_noise(200_000, rng)
