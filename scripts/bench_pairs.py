@@ -6,11 +6,18 @@ Usage (from the repository root):
         --seeds 1101-1110 --seconds 24 [--trace-seed 1101] \\
         [--claim mc-standard:wall_s] [--note TEXT ...]
 
-The parent side is ``git archive PARENT`` unpacked into a fresh directory;
-the change side is the working tree as it stands.  For every seed both
-sides run ``perfbench/run.py --workload all --seed S --seconds T``, the
-parent first on the first, third, ... seed and second on the others, so
-that drift of the machine's speed falls on both sides alike.  With
+Both sides run from fresh sibling directories of equal path length under
+the work directory, ``parent`` and ``change``, because the directory alone
+moves the timings (``detect-long``'s ``wall_s`` read about 10% apart from
+the checkout and from a copy elsewhere).  The parent side is ``git archive
+PARENT`` unpacked.  The change side is a copy of the working tree's files
+that git lists (``git ls-files --cached --others --exclude-standard``):
+every tracked file as it stands on disk, so uncommitted edits are measured,
+and every untracked file that ``.gitignore`` does not exclude; a tracked
+file deleted from disk is left out.  For every seed both sides run
+``perfbench/run.py --workload all --seed S --seconds T``, the parent
+first on the first, third, ... seed and second on the others, so that
+drift of the machine's speed falls on both sides alike.  With
 ``--trace-seed`` each side also makes one ``--trace 1`` run.  Last,
 ``scripts/kernel_sweep.py`` of the working tree times each side's
 ``Detector.lookahead`` over its N x G sweep and per call over the block
@@ -60,17 +67,33 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
 def unpack_parent(rev: str, work: str) -> tuple:
     """(commit, directory) of ``git archive rev`` unpacked under ``work``."""
-    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                            capture_output=True, text=True).stdout.strip()
-    tar = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
-                         capture_output=True).stdout
+    commit = git("rev-parse", rev).decode().strip()
     dest = os.path.join(work, "parent")
     os.makedirs(dest)
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tf:
         tf.extractall(dest)
     return commit, dest
+
+
+def copy_change(work: str) -> str:
+    """The directory under ``work`` that holds a copy of the working tree's
+    tracked files as they stand and of its untracked, unignored files."""
+    dest = os.path.join(work, "change")
+    listed = git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard")
+    for rel in sorted(set(listed.decode().split("\0")) - {""}):
+        src, dst = os.path.join(ROOT, rel), os.path.join(dest, rel)
+        if os.path.isfile(src):  # a tracked file may be deleted from disk
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+    return dest
 
 
 def run_side(root: str, seed: int, seconds: float, trace: int,
@@ -162,7 +185,7 @@ def main(argv=None) -> int:
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
     ap.add_argument("--note", action="append", default=[])
-    ap.add_argument("--work", help="directory for the parent tree "
+    ap.add_argument("--work", help="directory for both sides' trees "
                     "(default: a new temporary directory)")
     args = ap.parse_args(argv)
 
@@ -173,7 +196,8 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="bench_pairs_", dir=args.work)
     try:
         commit, parent_root = unpack_parent(args.parent, work)
-        roots = {"parent": parent_root, "change": ROOT}
+        head = git("rev-parse", "HEAD").decode().strip()
+        roots = {"parent": parent_root, "change": copy_change(work)}
         runs = {side: {name: {} for name in workloads} for side in SIDES}
         order = {}
         for i, seed in enumerate(seeds):
@@ -211,6 +235,9 @@ def main(argv=None) -> int:
                    "= the larger IQR/median of the two sides. Per-layer "
                    "values come from the traced runs."),
         "parent": f"{commit} (tree from git archive)",
+        "change": (f"working tree over {head} (tracked files as on disk "
+                   "and untracked unignored files, copied beside the "
+                   "parent's tree)"),
         "machine": {k: first.get(k) for k in ("cpu", "nproc", "numpy",
                                              "python", "scipy")},
         "order": order,

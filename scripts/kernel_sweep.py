@@ -20,8 +20,9 @@ each before the next, and the best of ``REPS`` repetitions is kept.  Its
 cases (``BLOCK_CASES``) are N = 2, G = 8 in full mode at m in {1, 64,
 256, 1 024}; N = 8, G = 32 at window 200 at m in {64, 128, 256}, the
 blocks ``wide-window``'s rule takes under a 16 384- and a 32 768-entry
-budget and one more; and N = 3, G = 5 in full mode at m = 1 024, whose
-odd N x G the detector's tables pad to N x 6.  The first row is the fixed
+budget and one more; and N = 3, G = 5 and N = 1, G = 7 in full mode at
+m = 1 024, whose odd N x G rows are summed without the complex view
+(``engine._accumulate``).  The first row is the fixed
 cost of a call, which the rule's block size spreads over the block's
 steps.  At N = 2, G = 8, m = 1 024 the running log-sum-exp re-bases about
 three times a call (54 times over the 16 calls), so that row shows the
@@ -69,7 +70,7 @@ FRAME_WINDOWS = (None, 200)
 FRAME_CALLS = 5
 # (streams, grid points, window, block sizes) of the ``blocks`` table
 BLOCK_CASES = ((2, 8, None, (1, 64, 256, 1024)), (8, 32, 200, (64, 128, 256)),
-               (3, 5, None, (1024,)))
+               (3, 5, None, (1024,)), (1, 7, None, (1024,)))
 BLOCK_CALLS = 16
 # (steps, streams) of the ``screen`` table
 SCREEN_CASES = ((64, 2), (2048, 2), (128, 8))

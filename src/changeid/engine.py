@@ -61,12 +61,10 @@ the same bits on any operand layout, so the statistics are the same bits
 whatever the blocks.
 
 Every cumulative sum along the steps, cumz's and each scan's, runs on a
-complex128 view of the float64 rows (``_accumulate``): numpy's
-accumulate makes one loop trip per element, and a complex add is the two
-float adds of a column pair, so half the trips give the same bits.  The
-detector's tables pad a grid whose N x grid is odd with one more
-zero-weight copy of its last point, so that every row is whole pairs; the
-copy adds +0.0 to the mixture and repeats a value in every max.
+complex128 view of the float64 rows where a row holds whole column pairs
+(``_accumulate``): numpy's accumulate makes one loop trip per element, and
+a complex add is the two float adds of a column pair, so half the trips
+give the same bits.
 
 The tables that depend only on the config (the padded grids and weights,
 the AR filters, the prior's log-pmf and log-survivor, the whitened signal
@@ -139,12 +137,12 @@ def _lse(a: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(a: np.ndarray) -> None:
-    """Cumulative sum of a along axis -2, in place, on a complex128 view of
-    its float64 rows, whose last axis is contiguous and of even length.
-    ``np.add.accumulate`` makes one loop trip per element; a complex add is
-    the float adds of a column pair, in the same order, so half the trips
-    give the same bits, infinities and NaNs included."""
-    z = a.view(complex)
+    """Cumulative sum of a along axis -2, in place; a's last axis is
+    contiguous.  Rows of even length are summed on a complex128 view:
+    ``np.add.accumulate`` makes one loop trip per element, and a complex
+    add is the float adds of a column pair, in the same order, so half the
+    trips give the same bits, infinities and NaNs included."""
+    z = a if a.shape[-1] % 2 else a.view(complex)
     np.add.accumulate(z, axis=-2, out=z)
 
 
@@ -156,8 +154,7 @@ def _scan(x: np.ndarray, state=None) -> Tuple[np.ndarray, np.ndarray]:
     off + log(s).  Without one, each chunk starts afresh at its first row
     with off = that row (_EMPTY where it is -inf) and no sum.  Between
     re-bases a run of rows is one exp, one cumulative sum along the rows
-    seeded with s, and one log, each over the whole run; the sum runs on
-    a complex128 view of the rows (``_accumulate``), so C is even.  A row
+    seeded with s, and one log, each over the whole run.  A row
     where some entry of a chunk lies more than _HEADROOM above its offset
     re-bases that chunk: its value is logaddexp(off + log(s), row), and
     the state becomes (that value, 1).  A re-base depends only on the
@@ -350,9 +347,8 @@ class StreamTables:
     steps, every array read-only; they need no prior.
 
     The N grids are padded to a common width G with zero-weight copies of
-    their last point, which change neither the mixture nor the sup, and
-    the detector's tables get one more where N x G is odd; the AR filters
-    are zero-padded to the longest one.  ``sw`` holds the whitened
+    their last point, which change neither the mixture nor the sup; the AR
+    filters are zero-padded to the longest one.  ``sw`` holds the whitened
     signal values and ``half_v`` is sw^2 / (2 sigma^2), each (cap, N).
     """
 
@@ -415,16 +411,10 @@ class ConfigTables(StreamTables):
 
 
 def stream_tables(models: Sequence[ARGaussianSignal],
-                  mixing: Sequence[MixingMeasure], cap: int,
-                  even: bool = False) -> StreamTables:
-    """The tables of ``models``, one mixing measure each, for cap steps.
-    With ``even``, a grid whose N x G is odd gets one more zero-weight copy
-    of its last point, so that a row of increments is whole column pairs
-    (``_accumulate``); a sum over the grid must not be given one."""
+                  mixing: Sequence[MixingMeasure], cap: int) -> StreamTables:
+    """The tables of ``models``, one mixing measure each, for cap steps."""
     n_streams = len(models)
     width = max(m.grid.size for m in mixing)
-    if even:
-        width += n_streams * width % 2
     grid = np.empty((n_streams, width))
     logw = np.full((n_streams, width), -np.inf)
     for s, m in enumerate(mixing):
@@ -468,7 +458,7 @@ def _shared_tables(prior: ChangePointPrior, models: Sequence[ARGaussianSignal],
             or not _same(tables.mixing, mixing)):
         lp = prior.log_pmf_head_merged(cap)
         tables = ConfigTables(
-            **vars(stream_tables(models, mixing, cap, even=True)),
+            **vars(stream_tables(models, mixing, cap)),
             models=tuple(models), mixing=tuple(mixing), lp=lp,
             lp_scale=np.maximum.accumulate(np.where(lp > -np.inf, -lp, 0.0)),
             log_survivor=prior.log_survivor(np.arange(1, cap + 1)))
@@ -548,9 +538,7 @@ class Detector:
 
     @property
     def _window_start(self) -> int:
-        if self.window is None:
-            return 0
-        return max(0, self.n - self.window)
+        return max(0, self.n - self._chunk)
 
     @property
     def evicted_log_prior_mass(self) -> float:
@@ -570,20 +558,16 @@ class Detector:
         """Make room in cumz for the times up to n0 + m.  The rows that are
         still read, times max(0, n0 - L) .. n0 (the window of every step
         of the block and the previous chunk's suffix), move to the front
-        of the buffer, which is reallocated when they do not fit: in window
-        mode at twice the L + 1 + m rows a block of m steps reads at most,
-        so that a slide leaves room for at least one more such block, but
-        at no more than the cap + 1 + m rows that hold every time up to the
-        tables' capacity, so a window longer than the path costs what full
-        mode does; in full mode (L = infinity), which keeps every row, at
-        twice the rows."""
+        of the buffer, which is reallocated when they do not fit: at twice
+        the L + 1 + m rows a block of m steps reads at most, so that a slide
+        leaves room for at least one more such block, but at no more than
+        the cap + 1 + m rows that hold every time up to the tables'
+        capacity, which full mode (L = infinity) always takes."""
         lo = max(0, n0 - self._chunk)
         live = self._cumz[lo - self._base:n0 + 1 - self._base]
-        need = n0 + m + 1 - lo
         cumz = self._cumz
-        if need > len(cumz):
-            size = (2 * need if self.window is None else
-                    min(2 * (self.window + 1 + m), self.tables.cap + 1 + m))
+        if n0 + m + 1 - lo > len(cumz):
+            size = min(2 * (self._chunk + 1 + m), self.tables.cap + 1 + m)
             cumz = np.empty((size,) + cumz.shape[1:])
         cumz[:len(live)] = live
         self._cumz, self._base = cumz, lo
@@ -793,11 +777,9 @@ class Detector:
         return float(self.tables.log_survivor[self.n - 1])
 
     def frame(self) -> StatisticFrame:
-        if self.n < 1:
-            raise EngineError("no observations consumed yet")
+        lsv = self.log_survivor  # raises before the first observation
         mix = self.log_mix_values
         sup = self.log_sup_values
-        lsv = self.log_survivor
         return StatisticFrame(n=self.n, log_mix=mix, log_sup=sup,
                               log_survivor=lsv,
                               log_ratio=log_ratio_matrix(mix, lsv, sup))

@@ -10,6 +10,7 @@ i.i.d. N(0, sigma^2) -> N(theta, sigma^2) mean shift.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
@@ -149,7 +150,21 @@ class ARGaussianSignal:
     def signal_values(self, horizon: int) -> np.ndarray:
         return self.signal.values(horizon)
 
+    @functools.cached_property
+    def _root_modulus(self) -> float:
+        """The largest modulus of the roots of z^p - c_1 z^(p-1) - ... - c_p,
+        0 for order 0: above 1 the AR noise is explosive."""
+        poly = np.concatenate(([1.0], -np.asarray(self.ar_coeffs)))
+        return float(np.abs(np.roots(poly)).max(initial=0.0))
+
     def sample_noise(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
+        # explosive noise outgrows its innovations until float64 keeps none;
+        # np.roots may place a repeated unit root 7e-6 off the unit circle
+        if self._root_modulus > 1.0 + 1e-5:
+            raise ModelError(
+                f"ar_coeffs {list(self.ar_coeffs)}: explosive AR noise "
+                f"(largest root modulus {self._root_modulus:.6g} > 1) cannot "
+                f"be simulated; calibrate and detect take it")
         burn = 1000 if self.stationary_init else 0
         w = self.sigma * rng.standard_normal(horizon + burn)
         if not self.ar_coeffs:

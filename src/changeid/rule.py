@@ -197,7 +197,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
 
     The detector looks ahead in blocks that double from 64 steps up to
     ``max(64, 32768 // (N * G))`` steps, G the width of the detector's
-    tables (one more than the grid's where N x G is odd).  Each block is
+    tables.  Each block is
     screened at once: the whole ratio layout of every looked-ahead step,
     with the cheap lower bounds ``sup_lower_bounds`` in place of the exact
     competitor denominators, is tested against every threshold by the

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.signal import lfilter
 
 from changeid import ARGaussianSignal, ChangePointPrior, cli, simulate
 from changeid import models as models_module
@@ -881,6 +882,54 @@ class TestExtremeModelParameters:
         scales = json.loads(capsys.readouterr().out)["psi_delay_scale"]
         assert all(0 < psi < np.inf for psis in scales.values()
                    for psi in psis)
+
+
+class TestExplosiveAR:
+    """AR noise with a root of modulus above 1 outgrows its innovations
+    until float64 keeps none of them, so ``simulate`` and ``validate``
+    refuse to draw its paths and exit 2 naming ``ar_coeffs``.  Given data
+    whitens as well as any, so ``calibrate`` and ``detect`` take such a
+    model, and unit roots still simulate."""
+
+    SINE = TestExtremeModelParameters.SINE
+
+    def _path(self, config_path, ar_coeffs, **overrides):
+        models = [dict(self.SINE, ar_coeffs=ar_coeffs), BASE_CONFIG["models"][1]]
+        return config_path(dict(overrides, models=models))
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("horizon", [300, 3000])
+    @pytest.mark.filterwarnings("error")
+    def test_draws_exit_2_naming_ar_coeffs(self, config_path, capsys,
+                                           command, horizon):
+        path = self._path(config_path, [1.5], horizon=horizon)
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ar_coeffs [1.5]: explosive AR noise "
+                                "(largest root modulus 1.5 > 1) cannot be "
+                                "simulated; calibrate and detect take it\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_calibrate_and_detect_take_it(self, config_path, tmp_path,
+                                          capsys):
+        path = self._path(config_path, [1.5])
+        assert main(["calibrate", "--config", path]) == 0
+        obs = np.random.default_rng(0).standard_normal((2, 60))
+        obs[0] = lfilter([1.0], [1.0, -1.5], obs[0])
+        write_data_csv(tmp_path / "data.csv", obs)
+        # the whitened data is the innovations: no alarm in 60 steps
+        assert main(["detect", "--config", path, str(tmp_path / "data.csv")]) == 3
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("ar_coeffs", [[1.0], [1.5, -0.5]])
+    @pytest.mark.filterwarnings("error")
+    def test_unit_roots_simulate(self, config_path, capsys, ar_coeffs):
+        path = self._path(config_path, ar_coeffs)
+        # 25 trials leave some Clopper-Pearson upper limits above their bounds
+        assert main(["simulate", "--config", path]) == 4
+        assert main(["validate", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRangeChecks:

@@ -777,6 +777,16 @@ class TestCapacityGrowth:
             later = Detector(prior, models, mix, window=window, capacity=16)
             assert later.tables is small.tables
 
+    def test_full_mode_buffer_grows_with_its_tables(self, rng):
+        """Full mode is the window L = infinity: its cumz buffer grows to
+        the cap + 1 + m rows that hold every time up to the tables'
+        capacity, not to twice the rows a block reads."""
+        prior, models, mix = make_setup()
+        det = Detector(prior, models, mix, capacity=16)
+        for x in rng.standard_normal((200, 2)):
+            det.step(x)
+            assert len(det._cumz) <= det.tables.cap + 1 + 1, det.n
+
     @pytest.mark.parametrize("prior", [
         ChangePointPrior.geometric(0.1, q=0.1),
         ChangePointPrior.discrete_weibull(0.5, 10.0, q=0.2),
@@ -1014,36 +1024,34 @@ class TestExactFrame:
 
 class TestComplexViewSums:
     """The cumulative sums of ``lookahead`` and ``_scan`` run on a
-    complex128 view of their float64 rows, so the detector's tables pad a
-    grid whose N x G is odd with a zero-weight copy of its last point."""
+    complex128 view of their float64 rows where a row holds whole column
+    pairs, and as plain float sums where N x G is odd; the detector's
+    tables hold each grid as given."""
 
-    # (N, G): N x G even, G odd with N x G even, N x G odd (padded)
+    # (N, G): N x G even, G odd with N x G even, N x G odd
     SHAPES = [(2, 4), (2, 5), (1, 7), (3, 5)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_detector_tables_pad_an_odd_width(self, shape):
+        """An odd N x G is not padded: the tables of every shape are
+        (N, G), and the rows of cumz hold N x G entries."""
         n_streams, g = shape
         models = [ARGaussianSignal(0.25, 2.0)] * n_streams
         mix = MixingMeasure.uniform(0.25, 2.0, g, spacing="log")
         det = Detector(ChangePointPrior.geometric(0.05), models, mix)
         tab = det.tables
-        width = g + n_streams * g % 2
-        assert tab.grid.shape == tab.logw.shape == (n_streams, width)
-        assert det._cumz.shape[1:] == (n_streams, width)
-        assert np.array_equal(tab.grid[:, :g], np.tile(mix.grid, (n_streams, 1)))
-        assert (tab.grid[:, g:] == mix.grid[-1]).all()
-        assert np.isneginf(tab.logw[:, g:]).all()
-        # a sum over the grid is not given the copy
-        plain = engine.stream_tables(models, [mix] * n_streams, 16)
-        assert plain.grid.shape == (n_streams, g)
+        assert tab.grid.shape == tab.logw.shape == (n_streams, g)
+        assert det._cumz.shape[1:] == (n_streams, g)
+        assert np.array_equal(tab.grid, np.tile(mix.grid, (n_streams, 1)))
+        assert np.array_equal(tab.logw, np.tile(mix.log_weights, (n_streams, 1)))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_accumulate_is_float_accumulate(self, shape):
         """Bit for bit ``np.add.accumulate`` along the rows, with +-inf,
         NaN and _EMPTY entries and columns, on whole arrays, on slices of
-        the leading axes and on rows in reverse."""
+        the leading axes and on rows in reverse, at the widths N x G."""
         n_streams, g = shape
-        width = n_streams * (g + n_streams * g % 2)
+        width = n_streams * g
         rng = np.random.default_rng(width)
         base = rng.standard_normal((3, 50, width)) * 100.0
         special = rng.random(base.shape)
@@ -1067,16 +1075,16 @@ class TestComplexViewSums:
 
     @pytest.mark.parametrize("window", [None, 7, 50])
     def test_padded_frames_match_oracle(self, rng, window):
-        """N = 3 streams on a 5-point grid: every frame of one look-ahead
-        matches the brute-force oracle on the unpadded grid, and single
-        steps give the same bits."""
+        """N = 3 streams on a 5-point grid, whose rows hold an odd number
+        of entries: every frame of one look-ahead matches the brute-force
+        oracle, and single steps give the same bits."""
         prior = ChangePointPrior.geometric(0.05, q=0.1)
         models = [ARGaussianSignal(0.25, 2.0)] * 3
         mix = MixingMeasure.uniform(0.25, 2.0, 5, spacing="log")
         obs = rng.standard_normal((3, 120)) + 0.3
         block = Detector(prior, models, mix, window=window, capacity=120)
         single = Detector(prior, models, mix, window=window, capacity=16)
-        assert block.tables.grid.shape == (3, 6)
+        assert block.tables.grid.shape == (3, 5)
         grids, weights = [mix.grid] * 3, [mix.weights] * 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -212,6 +212,26 @@ class TestARGaussianSignal:
                                              r"overflows at step 2$"):
             m.signal_values(5)
 
+    @pytest.mark.parametrize("coeffs, modulus", [
+        ((), 0.0), ((0.5,), 0.5), ((1.0,), 1.0), ((1.5, -0.5), 1.0),
+        ((1.5,), 1.5), ((0.0, 4.0), 2.0)])
+    def test_root_modulus_computed_once(self, rng, monkeypatch, coeffs,
+                                        modulus):
+        """The largest root modulus is computed at the first draw and read
+        at every later one; above 1 the draw refuses, naming ar_coeffs."""
+        m = self._model(ar_coeffs=coeffs)
+        calls = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
+        for _ in range(3):
+            if modulus > 1:
+                with pytest.raises(ModelError, match=r"^ar_coeffs \["):
+                    m.sample_noise(10, rng)
+            else:
+                assert m.sample_noise(10, rng).shape == (10,)
+        assert m._root_modulus == pytest.approx(modulus, abs=1e-12)
+        assert len(calls) == 1
+
     def test_noise_autocorrelation(self, rng):
         m = self._model(stationary_init=True)
         x = m.sample_noise(200_000, rng)
