@@ -21,7 +21,8 @@ drift of the machine's speed falls on both sides alike.  With
 ``--trace-seed`` each side also makes one ``--trace 1`` run.  Last,
 ``scripts/kernel_sweep.py`` of the working tree times each side's
 ``Detector.lookahead`` over its N x G sweep and per call over the block
-size, and its exact frames over n.
+size, and its exact frames over n.  The line count of each side's
+``src/changeid/*.py``, and their total, is kept under ``src_lines``.
 
 The output keeps every run record that perfbench wrote and summarizes
 each workload: for every end-to-end metric of BENCHMARK.json the values
@@ -128,6 +129,18 @@ def kernel_table(root: str) -> dict:
     return json.loads(out.stdout)
 
 
+def src_lines(root: str) -> dict:
+    """Lines of each ``src/changeid/*.py`` in ``root``, and their total."""
+    pkg = os.path.join(root, "src", "changeid")
+    counts = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                counts[name] = fh.read().count(b"\n")
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def quartiles(values) -> list:
     return [float(q) for q in np.percentile(values, [25, 75])]
 
@@ -212,6 +225,7 @@ def main(argv=None) -> int:
                                      args.seconds, 1, workloads)
                       for side in SIDES}
         kernel = {side: kernel_table(roots[side]) for side in SIDES}
+        lines = {side: src_lines(roots[side]) for side in SIDES}
     finally:
         shutil.rmtree(work)
 
@@ -227,7 +241,9 @@ def main(argv=None) -> int:
                  + ", written by scripts/bench_pairs.py; `kernel` holds each "
                    "side's tables from scripts/kernel_sweep.py (us per "
                    "looked-ahead step over N x G, us per lookahead call "
-                   "over the block size, and us per exact frame over n). "
+                   "over the block size, and us per exact frame over n); "
+                   "`src_lines` holds each side's line count per "
+                   "src/changeid/*.py and their total. "
                    "Summary per workload "
                    "and end-to-end metric: medians, quartiles, pairs the "
                    "change won, change_worse_by = relative change of the "
@@ -245,6 +261,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "traced": traced,
         "kernel": kernel,
+        "src_lines": lines,
         "summary": summarize(runs, traced, seeds, bench),
     }
     if args.claim:
@@ -268,6 +285,8 @@ def main(argv=None) -> int:
                   f"change {r['change_median']:.6g} won {r['change_better_pairs']}"
                   f"/{len(seeds)} worse_by {r['change_worse_by']:+.3f} "
                   f"{r['verdict']}")
+    print("src lines: " + "  ".join(f"{side} {lines[side]['total']}"
+                                    for side in SIDES))
     if "claim" in out:
         print("claim: " + json.dumps(out["claim"], sort_keys=True))
     return 0

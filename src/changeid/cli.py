@@ -30,7 +30,7 @@ from .config import (ConfigError, RunConfig, build_mixing, build_models,
                      build_prior, build_thresholds, load_config)
 from .models import ModelError
 from .montecarlo import ExperimentPlan, RiskReport, canonical_json
-from .rule import CalibrationError, run
+from .rule import run
 
 __all__ = ["main"]
 
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, CalibrationError, ModelError, ValueError) as exc:
+    except ValueError as exc:  # every library error is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # numpy's message names the shape

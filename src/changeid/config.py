@@ -145,8 +145,8 @@ def _is_nan(value) -> bool:
 # the least value of each plan integer; None (full mode) is a valid window
 _LEAST = {"horizon": 1, "trials": 1, "seed": 0, "threads": 1, "window": 1,
           "change_stream": 1}
-# the most trials a batch runs: a campaign lists every task and outcome of a
-# batch, about 0.35 KB a trial, before and after its trials run
+# the most trials a batch runs: a campaign keeps every outcome of a batch,
+# about 0.2 KB a trial, until it reduces them
 _MAX_TRIALS = 10 ** 6
 
 

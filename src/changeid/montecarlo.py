@@ -24,6 +24,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -86,9 +87,9 @@ def _trial_rng(plan: ExperimentPlan, tag: str, trial: int) -> np.random.Generato
     return np.random.default_rng((plan.master_seed, _batch_id(tag), trial))
 
 
-def _run_one(args) -> TrialOutcome:
-    (plan, models, prior, mixing, thresholds, tag, trial,
-     stream, theta, nu) = args
+def _run_one(plan: ExperimentPlan, models, prior, mixing, thresholds,
+             tag: str, stream: int, theta: float, nu,
+             trial: int) -> TrialOutcome:
     rng = _trial_rng(plan, tag, trial)
     path = simulate(models, plan.horizon, rng, stream=stream, theta=theta,
                     nu=nu, prior=prior if stream else None)
@@ -102,17 +103,17 @@ def _run_one(args) -> TrialOutcome:
 def _run_batch(plan: ExperimentPlan, models, prior, mixing, thresholds,
                tag: str, stream: int, theta: float,
                nu) -> List[TrialOutcome]:
-    tasks = [(plan, models, prior, mixing, thresholds, tag, t, stream, theta, nu)
-             for t in range(plan.n_trials)]
+    one = partial(_run_one, plan, models, prior, mixing, thresholds, tag,
+                  stream, theta, nu)
     if plan.threads <= 1:
-        return [_run_one(task) for task in tasks]
+        return [one(t) for t in range(plan.n_trials)]
     # imported where used, like scipy.special below, so that importing
     # the package and ``detect`` load neither
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=plan.threads) as pool:
         # executor.map preserves task order, so the reduction below sees
         # trials in index order no matter how they were scheduled
-        return list(pool.map(_run_one, tasks, chunksize=64))
+        return list(pool.map(one, range(plan.n_trials), chunksize=64))
 
 
 def run_null_batch(plan: ExperimentPlan, models: Sequence[ARGaussianSignal],
@@ -319,15 +320,8 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 

@@ -220,8 +220,7 @@ def run(models: Sequence[ARGaussianSignal], prior: ChangePointPrior,
     log_a = thresholds.log_a
     # log P(nu >= n) for n = 1.. from the tables the campaign shares
     lsv = det.tables.log_survivor
-    width = det.tables.grid.shape[1]
-    cap = max(_FIRST_BLOCK, _BLOCK_ENTRIES // (n_streams * width))
+    cap = max(_FIRST_BLOCK, _BLOCK_ENTRIES // det.tables.grid.size)
     size = _FIRST_BLOCK
     t = 0
     while t < horizon:

@@ -24,17 +24,17 @@ def pfa_bound(thresholds: ThresholdMatrix):
 
 def pmi_bound(thresholds: ThresholdMatrix):
     """Pairwise bounds (1 + A_i0) / (A_i0 A_ji) and their row sums; 1 / A_ji
-    where A_i0 overflows."""
+    where A_i0 overflows, and inf where A_i0 or A_ji underflows to 0."""
     a = thresholds.linear()
     n = thresholds.n_streams
     pair = np.full((n, n), np.nan)
-    for i in range(n):
-        # (1 + A_i0) / A_i0 tends to 1 as A_i0 overflows to inf
-        prefactor = 1.0 if np.isinf(a[i, 0]) else (1.0 + a[i, 0]) / a[i, 0]
-        for j in range(n):
-            if j != i:
-                pair[i, j] = prefactor / a[j, i + 1]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            # (1 + A_i0) / A_i0 tends to 1 as A_i0 overflows to inf
+            prefactor = 1.0 if np.isinf(a[i, 0]) else (1.0 + a[i, 0]) / a[i, 0]
+            for j in range(n):
+                if j != i:
+                    pair[i, j] = prefactor / a[j, i + 1]
         rows = np.nansum(pair, axis=1)
     return pair, rows
 
@@ -51,9 +51,11 @@ def psi_threshold(thresholds: ThresholdMatrix, stream: int, info: float,
     at min(mu, inf I_0j): the prior terms with k near n decay at mu.
     """
     i = stream - 1
-    best = thresholds.log_a[i, 0] / (info + mu)
-    for j in range(1, thresholds.n_streams + 1):
-        if j != stream:
-            rate = info + min(competitor_info[j], mu)
-            best = max(best, thresholds.log_a[i, j] / rate)
+    # a log threshold near float max over a rate below 1 overflows to inf
+    with np.errstate(over="ignore"):
+        best = thresholds.log_a[i, 0] / (info + mu)
+        for j in range(1, thresholds.n_streams + 1):
+            if j != stream:
+                rate = info + min(competitor_info[j], mu)
+                best = max(best, thresholds.log_a[i, j] / rate)
     return best

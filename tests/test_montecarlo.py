@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from changeid import (ARGaussianSignal, ChangePointPrior, ExperimentPlan,
                       estimate_delay, estimate_pfa, estimate_pmi,
                       SineSignal, run_change_batch, run_null_batch,
                       validate_conditions)
+from changeid import montecarlo
 from changeid.engine import stream_tables
 from changeid.montecarlo import _batch_id
 from conftest import oracle_llr_increments
@@ -216,6 +218,32 @@ class TestBatches:
                                  theta=1.0)
                 == run_change_batch(parallel, models, prior, mix, th,
                                     stream=2, theta=1.0))
+
+    def test_memory_before_the_first_trial_does_not_grow_with_trials(
+            self, monkeypatch):
+        prior, models, mix, th = standard_setup()
+
+        class FirstTrial(Exception):
+            pass
+
+        def first_trial(*args, **kwargs):
+            raise FirstTrial(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(montecarlo, "simulate", first_trial)
+
+        def held(n_trials):
+            plan = ExperimentPlan(n_trials=n_trials, horizon=100,
+                                  master_seed=0)
+            tracemalloc.start()
+            try:
+                with pytest.raises(FirstTrial) as err:
+                    run_null_batch(plan, models, prior, mix, th)
+            finally:
+                tracemalloc.stop()
+            return err.value.args[0]
+
+        held(10)  # the first batch's one-time allocations
+        assert held(100_000) - held(10) < 2 ** 20
 
 
 class TestValidateConditions:

@@ -41,6 +41,17 @@ class TestBounds:
         assert pair[0, 1] == pair[1, 0] == 1.0 / th.linear()[1, 1]
         assert rows.tolist() == [pair[0, 1], pair[1, 0]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_bounds_where_thresholds_underflow(self):
+        # exp(-1e308) is 0: the PFA bound takes 1 and the PMI bound
+        # (1 + A_10) / (A_10 A_21) its limit inf, with no warning
+        th = ThresholdMatrix(log_a=np.array([[-1e308, np.nan, 3.0],
+                                             [3.0, -1e308, np.nan]]))
+        per, _ = pfa_bound(th)
+        assert per[0] == 1.0
+        pair, rows = pmi_bound(th)
+        assert pair[0, 1] == rows[0] == math.inf
+
     def test_calibrated_thresholds_meet_targets_exactly(self):
         th = calibrate(0.05, 0.05, n_streams=2)
         per, _ = pfa_bound(th)
@@ -67,6 +78,14 @@ class TestPsi:
         th = matrix(math.e ** 6, math.e ** 8, math.e ** 8)
         got = psi_threshold(th, 1, info=0.5, competitor_info={2: 0.1}, mu=0.02)
         assert got == pytest.approx(8 / 0.52)
+
+    @pytest.mark.filterwarnings("error")
+    def test_threshold_near_float_max_gives_inf(self):
+        # 1e308 / 0.2 overflows; the scale is inf, with no warning
+        th = ThresholdMatrix(log_a=np.array([[1e308, np.nan, 1e308],
+                                             [3.0, 3.0, np.nan]]))
+        got = psi_threshold(th, 1, info=0.1, competitor_info={2: 0.1}, mu=0.1)
+        assert got == math.inf
 
     def test_acceptance_config_scale_unchanged(self):
         # there mu = 0.0513 exceeds inf I_0j = 0.25^2 / 2 = 0.03125, so the
