@@ -305,7 +305,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     cfg, prior, models, mixing, thresholds = _load(args)
     _check_theta_points(cfg, models, range(1, cfg.n_streams + 1), "stream")
-    thetas = cfg.theta_points or list(mixing.grid[[0, -1]])
+    thetas = cfg.theta_points or list(np.unique(mixing.grid[[0, -1]]))
     report = RiskReport(plan=_plan_dict(cfg))
     report.theory = _theory_tables(cfg, thresholds, models, mixing, prior)
     report.diagnostics = montecarlo.validate_conditions(

@@ -212,14 +212,12 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
 
 
 def _head_mass(section: dict) -> float:
-    """The prior section's head mass q = P(nu = -1), a number in [0, 1)."""
+    """The prior section's head mass q = P(nu = -1), a finite number;
+    ``ChangePointPrior`` and the calibrations check that it lies in [0, 1)."""
     try:
-        q = _number(section.get("q", 0.0), "q")
+        return _number(section.get("q", 0.0), "q")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid prior: {exc}")
-    if not 0.0 <= q < 1.0:
-        raise ConfigError(f"invalid prior: head mass q must be in [0, 1), got {q}")
-    return q
 
 
 def build_prior(section: dict) -> ChangePointPrior:

@@ -103,15 +103,8 @@ class ChangePointPrior:
         with np.errstate(over="ignore"):
             return -np.power(n / self.scale, self.kappa)
 
-    def pmf(self, k: int) -> float:
-        if k < -1:
-            raise PriorError(f"pmf defined on k >= -1, got {k}")
-        return self.q if k == -1 else float(np.exp(self.log_pmf(k)))
-
     def survivor(self, n: int) -> float:
         """P(nu >= n) for n >= 0; survivor(0) = 1 - q."""
-        if n < 0:
-            raise PriorError(f"survivor defined on n >= 0, got {n}")
         return float(np.exp(self.log_survivor(n)))
 
     def log_survivor(self, n) -> np.ndarray:
@@ -129,7 +122,7 @@ class ChangePointPrior:
             return np.log(tail)
 
     def log_pmf(self, k) -> np.ndarray:
-        """log pi_k, vectorized over k >= 0 (use pmf(-1) for the head)."""
+        """log pi_k, vectorized over k >= 0 (pi_{-1} is the head mass q)."""
         k = np.asarray(k)
         if np.any(k < 0):
             raise PriorError("log_pmf vectorized form defined on k >= 0")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -259,6 +260,33 @@ class TestCalibrate:
         pytest.param({"targets": {"alpha": 0.05, "beta_bar": float("nan")}},
                      "error: invalid risk targets: misidentification targets "
                      "must lie in (0, 1)\n", id="beta_bar_nan"),
+        pytest.param({"prior": {"kind": "geometric", "q": 0.0}},
+                     "error: prior section missing key 'rho'\n",
+                     id="prior_without_rho"),
+        pytest.param({"prior": {"kind": "geometric", "rho": 0.05, "q": 2}},
+                     "error: invalid prior: head mass q must be in [0, 1), "
+                     "got 2.0\n", id="q_past_one"),
+        pytest.param({"prior": {"kind": "explicit_pmf", "probs": []}},
+                     "error: invalid prior: probability table must be a "
+                     "nonempty 1-d array\n", id="probs_empty"),
+        pytest.param({"prior": {"kind": "explicit_pmf", "probs": [0, 0]}},
+                     "error: invalid prior: probability table has no mass\n",
+                     id="probs_no_mass"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 1}},
+                     "error: invalid mixing grid: grid count must be >= 2 "
+                     "(set single_point: true to override)\n",
+                     id="count_1_without_single_point"),
+        pytest.param({"mixing": {"min": 0.25, "max": 2.0, "count": 8,
+                                 "weights": "gaussian", "v": 0}},
+                     "error: invalid mixing grid: gaussian weight scale must "
+                     "be positive, got 0.0\n", id="mixing_v_zero"),
+        pytest.param({"targets": {"beta_bar": 0.05}},
+                     "error: targets section missing key 'alpha'\n",
+                     id="beta_bar_without_alpha"),
+        pytest.param({"prior": {"kind": "geometric", "rho": 0.05, "q": 0.99},
+                      "targets": {"alpha": 0.5, "beta_bar": 0.05}},
+                     "error: invalid risk targets: alpha 0.5 must be below "
+                     "1 - head mass 0.01\n", id="alpha_past_one_minus_q"),
     ])
     def test_malformed_config_exit_2(self, config_path, capsys, overrides,
                                      message):
@@ -267,6 +295,19 @@ class TestCalibrate:
         assert err.startswith("error: ")
         if message is not None:
             assert err == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("- 1\n", "error: config root must be a mapping\n"),
+        (yaml.safe_dump({key: value for key, value in BASE_CONFIG.items()
+                         if key != "mixing"}),
+         "error: config is missing required section 'mixing'\n"),
+    ], ids=["list_root", "no_mixing"])
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, text,
+                                          message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == message
 
 
     @pytest.mark.parametrize("command", ["calibrate", "detect", "simulate",
@@ -381,6 +422,25 @@ class TestDetect:
                         + "0.5,0.1\n2,nan,0.1\n")
         assert main(["detect", "--config", config_path(), str(data)]) == 2
         assert "error: row 3: non-finite observation" in capsys.readouterr().err
+
+    def test_long_cell_past_the_field_limit_exit_2(self, config_path,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        # a non-ASCII file goes to the walk, which names the line of a cell
+        # longer than its field limit
+        monkeypatch.setattr(cli, "_FIELD_LIMIT", 8)
+        data = tmp_path / "long.csv"
+        data.write_text("t,stream_1,stream_2\n1,\xa00.5,0.1\n"
+                        "2,0.123456789,0.1\n", encoding="utf-8")
+        assert main(["detect", "--config", config_path(), str(data)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: field larger than field limit (8)\n")
+
+    def test_unreadable_data_file_exit_2(self, config_path, tmp_path, capsys):
+        assert main(["detect", "--config", config_path(), str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read data file: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n")
 
     def test_wrong_header_exit_2(self, config_path, tmp_path):
         data = tmp_path / "bad.csv"
@@ -652,6 +712,19 @@ class TestValidate:
             diagnostics.append(report["diagnostics"])
         assert len(diagnostics[0]) == 8
         assert diagnostics[1] == diagnostics[0]
+
+    def test_one_point_grid_is_checked_once(self, config_path, tmp_path):
+        # without theta_points the grid's ends are the thetas, and a
+        # one-point grid has one: two rows per stream, none repeated
+        out = tmp_path / "out"
+        mixing = {"min": 1.0, "max": 1.0, "count": 1, "single_point": True}
+        main(["validate", "--config",
+              config_path({"trials": 20, "theta_points": [], "mixing": mixing}),
+              "--out", str(out)])
+        rows = json.loads((out / "report.json").read_text())["diagnostics"]
+        assert sorted(row["stream"] for row in rows) == [1, 1, 2, 2]
+        assert {row["theta"] for row in rows} == {1.0}
+        assert len({json.dumps(row, sort_keys=True) for row in rows}) == 4
 
     def test_theta_outside_a_stream_interval_exit_2(self, config_path,
                                                     monkeypatch, capsys):

@@ -60,6 +60,8 @@ class TestMixingMeasure:
             MixingMeasure(grid=np.array([1.0, 0.5]), weights=np.array([0.5, 0.5]))
         with pytest.raises(EngineError):
             MixingMeasure(grid=np.array([0.5, 1.0]), weights=np.array([0.7, 0.7]))
+        with pytest.raises(EngineError, match="matching nonempty 1-d arrays"):
+            MixingMeasure(grid=np.array([]), weights=np.array([]))
 
     @pytest.mark.parametrize("grid, weights", [
         ([1.0, 2.0], [math.nan, math.nan]),
@@ -242,6 +244,19 @@ class TestWindow:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("make, message", [
+        (lambda p, m, x: Detector(p, [], x), "need at least one stream model"),
+        (lambda p, m, x: Detector(p, m, [x]),
+         "need one mixing measure per stream"),
+        (lambda p, m, x: Detector(p, m, x, window=0),
+         "window must be >= 1, got 0"),
+        (lambda p, m, x: Detector(p, m, x).lookahead(np.zeros((3, 4))),
+         "expected an observation block of 2 rows"),
+    ], ids=["no_streams", "mixing_per_stream", "window_zero", "block_rows"])
+    def test_invalid_arguments(self, make, message):
+        with pytest.raises(EngineError, match=message):
+            make(*make_setup())
+
     def test_nan_observation_rejected(self):
         prior, models, mix = make_setup()
         det = Detector(prior, models, mix)
@@ -1032,7 +1047,7 @@ class TestComplexViewSums:
     SHAPES = [(2, 4), (2, 5), (1, 7), (3, 5)]
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_detector_tables_pad_an_odd_width(self, shape):
+    def test_detector_tables_keep_an_odd_width(self, shape):
         """An odd N x G is not padded: the tables of every shape are
         (N, G), and the rows of cumz hold N x G entries."""
         n_streams, g = shape
@@ -1074,7 +1089,7 @@ class TestComplexViewSums:
             assert got[mask].tobytes() == base[mask].tobytes()
 
     @pytest.mark.parametrize("window", [None, 7, 50])
-    def test_padded_frames_match_oracle(self, rng, window):
+    def test_odd_width_frames_match_oracle(self, rng, window):
         """N = 3 streams on a 5-point grid, whose rows hold an odd number
         of entries: every frame of one look-ahead matches the brute-force
         oracle, and single steps give the same bits."""

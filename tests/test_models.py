@@ -288,6 +288,15 @@ class TestSimulate:
         path = simulate(self._models(), 50, rng, stream=1, theta=2.0, nu=200)
         assert abs(np.mean(path.observations[0])) < 1.0
 
+    @pytest.mark.parametrize("horizon, stream, message", [
+        (0, 0, "horizon must be >= 1"),
+        (50, 3, r"stream index 3 out of range 0\.\.2"),
+        (50, -1, r"stream index -1 out of range 0\.\.2"),
+    ], ids=["horizon_zero", "stream_past_n", "stream_negative"])
+    def test_invalid_arguments(self, rng, horizon, stream, message):
+        with pytest.raises(ModelError, match=message):
+            simulate(self._models(), horizon, rng, stream=stream)
+
     def test_nu_requires_prior_or_value(self, rng):
         with pytest.raises(ModelError):
             simulate(self._models(), 50, rng, stream=1, theta=1.0)

@@ -120,7 +120,7 @@ class TestEstimatePfa:
         rows = estimate_pfa(outs, prior, 2, horizon=30)
         for i in (1, 2):
             naive = math.fsum(
-                prior.pmf(k) *
+                float(np.exp(prior.log_pmf(k))) *
                 np.mean([(o.time <= k and o.stream == i) for o in outs])
                 for k in range(2000))
             assert rows[i - 1]["estimate"] == pytest.approx(naive, abs=1e-6)
@@ -180,6 +180,10 @@ class TestEstimateDelay:
         with pytest.raises(MonteCarloError):
             estimate_delay(outs, stream=1, r=1, k=0)
 
+    def test_moment_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="moment order r must be >= 1"):
+            estimate_delay([outcome(0)], stream=1, r=0)
+
 
 class TestBatches:
     def test_reproducible(self):
@@ -205,6 +209,25 @@ class TestBatches:
         outs = run_change_batch(plan, models, prior, mix, th, stream=1,
                                 theta=1.0, nu=12)
         assert all(o.true_nu == 12 for o in outs)
+
+    @pytest.mark.parametrize("field, message", [
+        ("n_trials", "need at least one trial"),
+        ("horizon", "horizon must be >= 1"),
+        ("threads", "threads must be >= 1"),
+    ])
+    def test_plan_rejects_a_zero(self, field, message):
+        kwargs = dict(n_trials=1, horizon=1, master_seed=0)
+        kwargs[field] = 0
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(**kwargs)
+
+    @pytest.mark.parametrize("stream", [0, 3])
+    def test_change_stream_out_of_range_rejected(self, stream):
+        prior, models, mix, th = standard_setup()
+        plan = ExperimentPlan(n_trials=5, horizon=100, master_seed=1)
+        with pytest.raises(ValueError, match=r"stream must be in 1\.\.2"):
+            run_change_batch(plan, models, prior, mix, th, stream=stream,
+                             theta=1.0)
 
     def test_parallel_matches_serial(self):
         prior, models, mix, th = standard_setup()

@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from changeid import ARGaussianSignal, ChangePointPrior, PriorError, simulate
 
 
+def pmf(prior, k):
+    """pi_k = P(nu = k) for k >= 0."""
+    return float(np.exp(prior.log_pmf(k)))
+
+
 class TestGeometric:
     def test_survivor_closed_form(self):
         prior = ChangePointPrior.geometric(0.05)
@@ -17,7 +22,7 @@ class TestGeometric:
 
     def test_pmf_sums_to_one(self):
         prior = ChangePointPrior.geometric(0.2, q=0.3)
-        total = prior.pmf(-1) + sum(prior.pmf(k) for k in range(200))
+        total = prior.q + sum(pmf(prior, k) for k in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_exponent(self):
@@ -34,8 +39,8 @@ class TestGeometric:
         prior = ChangePointPrior.geometric(0.3, q=0.2)
         draws = np.array([prior.sample(rng) for _ in range(20000)])
         assert np.mean(draws == -1) == pytest.approx(0.2, abs=0.02)
-        assert np.mean(draws == 0) == pytest.approx(prior.pmf(0), abs=0.02)
-        assert np.mean(draws == 2) == pytest.approx(prior.pmf(2), abs=0.02)
+        assert np.mean(draws == 0) == pytest.approx(pmf(prior, 0), abs=0.02)
+        assert np.mean(draws == 2) == pytest.approx(pmf(prior, 2), abs=0.02)
 
 
 class TestDiscreteWeibull:
@@ -52,7 +57,7 @@ class TestDiscreteWeibull:
     def test_pmf_consistent_with_survivor(self):
         prior = ChangePointPrior.discrete_weibull(0.7, 5.0, q=0.1)
         for k in range(30):
-            assert prior.pmf(k) == pytest.approx(
+            assert pmf(prior, k) == pytest.approx(
                 prior.survivor(k) - prior.survivor(k + 1), abs=1e-14)
 
     @pytest.mark.parametrize("scale", [math.inf, math.nan])
@@ -84,16 +89,16 @@ class TestDiscreteWeibull:
 class TestExplicitPmf:
     def test_renormalization_and_head(self):
         prior = ChangePointPrior.from_pmf([2.0, 1.0, 1.0], q=0.2)
-        assert prior.pmf(-1) == pytest.approx(0.2)
-        assert prior.pmf(0) == pytest.approx(0.4)
-        assert prior.pmf(5) == 0.0
+        assert prior.q == pytest.approx(0.2)
+        assert pmf(prior, 0) == pytest.approx(0.4)
+        assert pmf(prior, 5) == 0.0
 
     def test_survivor_pmf_exact_consistency(self):
         probs = np.abs(np.sin(np.arange(1, 50))) + 0.01
         prior = ChangePointPrior.from_pmf(probs)
         for n in range(probs.size):
             assert prior.survivor(n) - prior.survivor(n + 1) == pytest.approx(
-                prior.pmf(n), abs=1e-15)
+                pmf(prior, n), abs=1e-15)
 
     def test_tail_exponent_recovers_geometric_rate(self):
         rho = 0.1
@@ -110,8 +115,8 @@ class TestHeadMergedLogPmf:
     def test_head_mass_folded_into_zero(self):
         prior = ChangePointPrior.geometric(0.1, q=0.25)
         lp = prior.log_pmf_head_merged(5)
-        assert lp[0] == pytest.approx(math.log(0.25 + prior.pmf(0)))
-        assert lp[2] == pytest.approx(math.log(prior.pmf(2)))
+        assert lp[0] == pytest.approx(math.log(0.25 + pmf(prior, 0)))
+        assert lp[2] == pytest.approx(math.log(pmf(prior, 2)))
 
     def test_fold_keeps_a_small_pi_0_accurate(self):
         # pi_0 = 1 - exp(-1/1000): the log form carries no cancellation
@@ -169,6 +174,23 @@ def test_draws_past_int64_are_its_largest_value(prior):
         assert np.array_equal(path.observations, null.observations)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ChangePointPrior(ChangePointPrior.EXPLICIT),
+     "explicit_pmf prior needs a probability table"),
+    (lambda: ChangePointPrior("bogus"), "unknown prior kind 'bogus'"),
+    (lambda: ChangePointPrior.geometric(0.1).survivor(-1),
+     "survivor defined on n >= 0"),
+    (lambda: ChangePointPrior.geometric(0.1).log_pmf(-1),
+     "log_pmf vectorized form defined on k >= 0"),
+    (lambda: ChangePointPrior.geometric(0.1).log_pmf_head_merged(0),
+     "horizon must be >= 1"),
+], ids=["explicit_without_table", "unknown_kind", "survivor_below_0",
+        "log_pmf_below_0", "head_merged_horizon_0"])
+def test_out_of_domain_rejected(make, message):
+    with pytest.raises(PriorError, match=message):
+        make()
+
+
 @settings(max_examples=50, deadline=None)
 @given(rho=st.floats(0.01, 0.95), q=st.floats(0.0, 0.9),
        n=st.integers(0, 200))
@@ -183,4 +205,4 @@ def test_survivor_monotone_and_bounded(rho, q, n):
        k=st.integers(0, 100))
 def test_weibull_pmf_nonnegative(kappa, scale, k):
     prior = ChangePointPrior.discrete_weibull(kappa, scale)
-    assert prior.pmf(k) >= 0.0
+    assert pmf(prior, k) >= 0.0

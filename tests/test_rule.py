@@ -58,6 +58,8 @@ class TestCalibrate:
             calibrate(0.1, 1.0, n_streams=2)
         with pytest.raises(CalibrationError):
             calibrate_star(1.5, 0.1, n_streams=2)
+        with pytest.raises(CalibrationError, match="need at least one stream"):
+            calibrate_star(0.1, 0.1, n_streams=0)
         # a NaN target or head mass lies outside its range
         for args, kw in [((math.nan, 0.05), {}), ((0.05, math.nan), {}),
                          ((0.05, 0.05), dict(head_mass=math.nan)),
@@ -124,6 +126,12 @@ class TestRun:
         v = run(models, prior, mix, th, path)
         assert not v.stopped and v.time is None and v.stream is None
         assert v.horizon == 50
+
+    def test_path_with_another_stream_count_rejected(self):
+        prior, models, mix = self._setup()
+        th = calibrate(0.05, 0.05, n_streams=2)
+        with pytest.raises(ValueError, match="path has 3 streams, expected 2"):
+            run(models, prior, mix, th, np.zeros((3, 10)))
 
     def test_strong_signal_identified(self):
         prior, models, mix = self._setup()
