@@ -95,10 +95,22 @@ def traced(executed: set):
     sys.settrace(tracer)
     threading.settrace(tracer)
     try:
-        yield
+        yield tracer
     finally:
         sys.settrace(old)
         threading.settrace(None)
+
+
+class Retrace:
+    """A pytest plugin that puts ``tracer`` back after each test: CPython
+    drops a trace function that raises, as a call at the recursion limit
+    does in the tests that nest input past it."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def pytest_runtest_teardown(self):
+        sys.settrace(self.tracer)
 
 
 def run_commands() -> None:
@@ -134,10 +146,11 @@ def main() -> int:
     import pytest
     sys.path.insert(0, os.path.join(ROOT, "src"))
     by_tests, by_commands = set(), set()
-    with traced(by_tests):
+    with traced(by_tests) as tracer:
         code = pytest.main(["-q", "--continue-on-collection-errors",
                             "-p", "no:cacheprovider",
-                            os.path.join(ROOT, "tests")])
+                            os.path.join(ROOT, "tests")],
+                           plugins=[Retrace(tracer)])
     with traced(by_commands):
         run_commands()
 

@@ -40,8 +40,7 @@ look-ahead block of m steps over N streams, for (m, N) in ``SCREEN_CASES``
 (G = 8): ``rule._passes_screen``, the function ``rule.run`` screens a
 block with, on the rows a ``lookahead`` call returned, and the steps where
 some stream passes as a list; ``SCREEN_CALLS`` screens per repetition,
-best of ``REPS``.  A tree without ``rule._passes_screen`` gets an empty
-table.
+best of ``REPS``.
 
 The engine measured is ``DIR/changeid`` (default: this tree's ``src``), so
 one copy of the script measures any tree.  Prints the table as JSON.
@@ -154,7 +153,7 @@ def sweep(src: str) -> dict:
                            "us_per_call": round(1e6 * best / BLOCK_CALLS, 3)})
     screens = []
     mixing = engine.MixingMeasure.uniform(0.25, 2.0, SCREEN_GRID, spacing="log")
-    for m, n in SCREEN_CASES if hasattr(rule, "_passes_screen") else ():
+    for m, n in SCREEN_CASES:
         models = [ARGaussianSignal(0.25, 2.0) for _ in range(n)]
         det = engine.Detector(prior, models, mixing, capacity=m)
         mix, bound = det.lookahead(rng.standard_normal((n, m)))

@@ -378,14 +378,12 @@ def cmd_report(args) -> int:
         with open(args.report, encoding="utf-8") as fh:
             summary, code = _summary(json.load(fh))
     except OSError as exc:
-        print(f"error: cannot read report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # a file that is not UTF-8 or not JSON raises a ValueError
-    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read report: {exc}")
+    # not UTF-8 or not JSON is a ValueError, nested too deep a RecursionError
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: cannot read report: {args.report} is not a risk "
-              f"report: {reason}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"cannot read report: {args.report} is not a risk "
+                          f"report: {reason}")
     sys.stdout.write(summary)
     return code
 
@@ -434,7 +432,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as exc:  # every library error is one
+    # a library error, an OS error on a user's path, or input nested too deep
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # numpy's message names the shape

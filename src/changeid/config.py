@@ -7,6 +7,7 @@ which override defaults.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
@@ -72,6 +73,17 @@ _MIXING_KEYS = {"uniform": _GRID_KEYS, "gaussian": _GRID_KEYS | {"v"}}
 # the most mixing grid points: every look-ahead step holds N x count
 # entries, and np.linspace fails on a count past int64
 _MAX_GRID = 1 << 16
+
+
+@contextmanager
+def _config_errors(section: str, noun: str):
+    """Re-raise a KeyError, TypeError or ValueError as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{section} section missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {noun}: {exc}")
 
 
 def _check_keys(section: dict, allowed, what: str) -> None:
@@ -169,9 +181,10 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
             # resolver and constructors as the pure-Python safe loader
             raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
                                                yaml.SafeLoader))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except yaml.YAMLError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    # the pure-Python loader recurses once per nesting level
+    except (RecursionError, yaml.YAMLError) as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -187,7 +200,7 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a directory path, got {out!r}")
-    try:
+    with _config_errors("config", "config"):
         # the plan keys the file leaves out keep RunConfig's defaults
         cfg = RunConfig(
             prior=_mapping(raw["prior"], "prior"),
@@ -195,8 +208,6 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
             mixing=_mapping(raw["mixing"], "mixing"),
             **{key: _plan_value(key, value) for key, value in raw.items()
                if key not in _SECTIONS})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}")
     for key, value in (overrides or {}).items():
         setattr(cfg, key, value)
     for key, least in _LEAST.items():
@@ -214,16 +225,14 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
 def _head_mass(section: dict) -> float:
     """The prior section's head mass q = P(nu = -1), a finite number;
     ``ChangePointPrior`` and the calibrations check that it lies in [0, 1)."""
-    try:
+    with _config_errors("prior", "prior"):
         return _number(section.get("q", 0.0), "q")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid prior: {exc}")
 
 
 def build_prior(section: dict) -> ChangePointPrior:
     kind = _kind(section, _PRIOR_KEYS, None, "prior")
     q = _head_mass(section)
-    try:
+    with _config_errors("prior", "prior"):
         if kind == "geometric":
             return ChangePointPrior.geometric(_number(section["rho"], "rho"),
                                               q=q)
@@ -233,10 +242,6 @@ def build_prior(section: dict) -> ChangePointPrior:
                 _number(section["scale"], "scale"), q=q)
         return ChangePointPrior.from_pmf(_numbers(section["probs"], "probs"),
                                          q=q)
-    except KeyError as exc:
-        raise ConfigError(f"prior section missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid prior: {exc}")
 
 
 def _build_signal(section) -> object:
@@ -281,7 +286,7 @@ def build_mixing(section: dict) -> MixingMeasure:
     if not isinstance(weights, str) or weights not in _MIXING_KEYS:
         raise ConfigError(f"unknown weight scheme {weights!r}")
     _check_keys(section, _MIXING_KEYS[weights], "mixing")
-    try:
+    with _config_errors("mixing", "mixing grid"):
         count = _integer(section["count"], "count")
         single_point = _flag(section, "single_point")
         if count < 2 and not single_point:
@@ -298,10 +303,6 @@ def build_mixing(section: dict) -> MixingMeasure:
         return MixingMeasure.gaussian(lo, hi, count,
                                       v=_number(section.get("v", 1.0), "v"),
                                       spacing=spacing)
-    except KeyError as exc:
-        raise ConfigError(f"mixing section missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid mixing grid: {exc}")
 
 
 # keys each form of the targets section reads
@@ -325,7 +326,7 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
             break
     else:
         raise ConfigError("targets must provide beta, beta_bar, or log_a")
-    try:
+    with _config_errors("targets", "risk targets"):
         if form == "log_a":
             thresholds = ThresholdMatrix(log_a=_log_a(t["log_a"]))
         elif form == "beta_bar":
@@ -334,10 +335,6 @@ def build_thresholds(cfg: RunConfig) -> ThresholdMatrix:
         else:
             thresholds = calibrate(t["alpha"], t["beta"], n_streams=n,
                                    head_mass=head)
-    except KeyError as exc:
-        raise ConfigError(f"targets section missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid risk targets: {exc}")
     if thresholds.n_streams != n:
         raise ConfigError(f"log_a has {thresholds.n_streams} rows for {n} streams")
     return thresholds

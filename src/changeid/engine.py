@@ -546,7 +546,7 @@ class Detector:
         s = self._window_start
         if s == 0:
             return -math.inf
-        x = float(self.prior.log_survivor(s))
+        x = float(self.tables.log_survivor[s - 1])
         # log(1 - e^x) without cancellation at either end (Maechler 2012,
         # "Accurately computing log(1 - exp(-|a|))"); a survivor of 1 is log 0
         return (math.log1p(-math.exp(x)) if x < -math.log(2.0)

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field, asdict
 from functools import partial
@@ -92,7 +93,7 @@ def _run_one(plan: ExperimentPlan, models, prior, mixing, thresholds,
              trial: int) -> TrialOutcome:
     rng = _trial_rng(plan, tag, trial)
     path = simulate(models, plan.horizon, rng, stream=stream, theta=theta,
-                    nu=nu, prior=prior if stream else None)
+                    nu=nu, prior=prior)
     verdict = run(models, prior, mixing, thresholds, path, window=plan.window)
     return TrialOutcome(
         trial_index=trial, stopped=verdict.stopped, time=verdict.time,
@@ -105,12 +106,14 @@ def _run_batch(plan: ExperimentPlan, models, prior, mixing, thresholds,
                nu) -> List[TrialOutcome]:
     one = partial(_run_one, plan, models, prior, mixing, thresholds, tag,
                   stream, theta, nu)
-    if plan.threads <= 1:
+    # at most one worker per CPU: the pool starts all it is given at once
+    workers = min(plan.threads, os.cpu_count() or 1)
+    if workers == 1:
         return [one(t) for t in range(plan.n_trials)]
     # imported where used, like scipy.special below, so that importing
     # the package and ``detect`` load neither
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=plan.threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # executor.map preserves task order, so the reduction below sees
         # trials in index order no matter how they were scheduled
         return list(pool.map(one, range(plan.n_trials), chunksize=64))

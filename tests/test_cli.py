@@ -150,8 +150,12 @@ class TestCalibrate:
         path = config_path({"bogus_key": 1})
         assert main(["calibrate", "--config", path]) == 2
 
-    def test_missing_config_file_exit_2(self, tmp_path):
-        assert main(["calibrate", "--config", str(tmp_path / "nope.yaml")]) == 2
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.yaml"
+        assert main(["calibrate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file: [Errno 2] No such file or "
+            f"directory: '{path}'\n")
 
     @pytest.mark.parametrize("overrides, message", [
         pytest.param({"prior": 5}, None, id="prior"),
@@ -1174,6 +1178,63 @@ class TestYamlLoader:
         assert main(["calibrate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: config file is not valid YAML:")
+
+
+class TestBadPathAndDeepNesting:
+    """An OS error on a path a command reads or writes, and input nested
+    past the interpreter's recursion limit, exit 2 with one ``error:``
+    line instead of a traceback."""
+
+    @pytest.mark.parametrize("argv, pure_python, message", [
+        pytest.param(["calibrate", "--config", "{dir}"], False,
+                     "cannot read config file: [Errno 21] Is a directory",
+                     id="config_is_a_directory"),
+        pytest.param(["calibrate", "--config", "{cfg}", "--out", "{file}"],
+                     False, "[Errno 17] File exists",
+                     id="calibrate_out_is_a_file"),
+        pytest.param(["detect", "--config", "{cfg}", "--out", "{file}",
+                      "{data}"], False, "[Errno 17] File exists",
+                     id="detect_out_is_a_file"),
+        pytest.param(["simulate", "--config", "{cfg}", "--out", "{file}"],
+                     False, "[Errno 17] File exists",
+                     id="simulate_out_is_a_file"),
+        pytest.param(["calibrate", "--config", "{cfg}", "--out", "{file}/x"],
+                     False, "[Errno 20] Not a directory",
+                     id="out_under_a_file"),
+        pytest.param(["report", "{deep_json}"], False,
+                     "cannot read report: {deep_json} is not a risk report: "
+                     "maximum recursion depth exceeded",
+                     id="report_nested_5000_deep"),
+        pytest.param(["calibrate", "--config", "{deep_yaml}"], True,
+                     "config file is not valid YAML: maximum recursion depth "
+                     "exceeded", id="config_nested_500_deep_pure_python"),
+        # libyaml loads it and the message that quotes it runs out of
+        # depth; the pure-Python loader stops at its nesting instead
+        pytest.param(["calibrate", "--config", "{deep_out}"], False,
+                     "maximum recursion depth exceeded",
+                     id="config_value_nested_5000_deep"),
+    ])
+    def test_exit_2_with_one_error_line(self, config_path, tmp_path,
+                                        monkeypatch, capsys, argv,
+                                        pure_python, message):
+        if pure_python:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        cfg = config_path({"horizon": 40, "trials": 2})
+        paths = {"dir": tmp_path, "cfg": cfg, "file": tmp_path / "a_file",
+                 "data": tmp_path / "data.csv",
+                 "deep_json": tmp_path / "deep.json",
+                 "deep_yaml": tmp_path / "deep.yaml",
+                 "deep_out": tmp_path / "deep_out.yaml"}
+        paths["file"].write_text("")
+        write_data_csv(paths["data"], np.zeros((2, 5)))
+        paths["deep_json"].write_text("[" * 5000 + "]" * 5000)
+        paths["deep_yaml"].write_text("[" * 500 + "]" * 500)
+        paths["deep_out"].write_text((tmp_path / "cfg.yaml").read_text()
+                                     + "out: " + "[" * 5000 + "]" * 5000)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message.format(**paths) in err
 
 
 class TestImportFootprint:

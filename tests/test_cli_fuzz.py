@@ -6,8 +6,9 @@ as errors.  Every run must exit 0, 2, 3 or 4 without an escaping
 exception, and an exit 2 prints exactly one stderr line, ``error: ...``.
 The bases run cleanly unmutated; horizons and trial counts are small so
 that a mutation that leaves a config valid still finishes at once.
-``threads`` is never set: a value such as 700 would start that many
-worker processes.
+``threads`` is never set: a value above 1 starts a pool of up to one
+worker process per CPU for each batch, which costs more than the run it
+would fuzz and changes no result.
 """
 import contextlib
 import copy

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -241,6 +243,36 @@ class TestBatches:
                                  theta=1.0)
                 == run_change_batch(parallel, models, prior, mix, th,
                                     stream=2, theta=1.0))
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+    def test_threads_caps_the_workers_at_one_per_cpu(self, monkeypatch,
+                                                      cpus, pools):
+        # a stand-in pool that runs the trials in this process records the
+        # workers it is asked for, so that no worker process starts
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        prior, models, mix, th = standard_setup()
+        capped = ExperimentPlan(n_trials=4, horizon=60, master_seed=3,
+                                threads=10 ** 6)
+        serial = ExperimentPlan(n_trials=4, horizon=60, master_seed=3)
+        assert (run_null_batch(capped, models, prior, mix, th)
+                == run_null_batch(serial, models, prior, mix, th))
+        assert started == pools
 
     def test_memory_before_the_first_trial_does_not_grow_with_trials(
             self, monkeypatch):
